@@ -63,6 +63,23 @@ cmp "$REPLICA_CLEAN" "$REPLICA_STEALTH" || {
   exit 1
 }
 
+echo "== smoke: perfbench serve_httpd_k3 correctness gate"
+# One short pass of the benchmark's K=3 workload. perfbench exits 1
+# unless replay reproduces the live stats byte for byte, the replicas
+# never diverge and every exploit is detected, so a digest change that
+# splits honest replicas fails here. It runs from the smoke dir because
+# it keeps its state dirs under the working directory.
+cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
+PERFBENCH="$PWD/perfbench/target/release/indra-perfbench"
+PERF_OUT="$SMOKE_DIR/perfbench.out"
+if ! (cd "$SMOKE_DIR" && timeout 300 "$PERFBENCH" \
+        --workload serve_httpd_k3 --seed 1 --seconds 1 --trace 0) > "$PERF_OUT" ||
+   ! tail -n 1 "$PERF_OUT" | grep -qF '"correct": true'; then
+  echo "perfbench serve_httpd_k3 did not report a correct run:" >&2
+  tail -n 5 "$PERF_OUT" >&2
+  exit 1
+fi
+
 echo "== smoke: fleetd service loop + deterministic replay"
 # Boot the serve daemon on an ephemeral loopback port, drive it with the
 # open-loop load generator (which probes HEALTH and asserts at least one

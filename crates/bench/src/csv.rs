@@ -87,9 +87,9 @@ mod tests {
 
     #[test]
     fn writes_and_quotes() {
-        let dir = std::env::temp_dir().join("indra-csv-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let sink = CsvSink::to_dir(&dir);
+        let scratch = indra_persist::ScratchDir::new("csv-test").unwrap();
+        let dir = scratch.path();
+        let sink = CsvSink::to_dir(dir);
         sink.write(
             "t",
             &["app", "value"],
@@ -97,6 +97,5 @@ mod tests {
         );
         let text = std::fs::read_to_string(dir.join("t.csv")).unwrap();
         assert_eq!(text, "app,value\nbind,1.5\n\"we,ird\"\"name\",2\n");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -503,9 +503,8 @@ mod tests {
 
     #[test]
     fn wal_tear_damages_only_the_tail() {
-        let dir = std::env::temp_dir().join(format!("indra-chaos-tear-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("journal.wal");
+        let dir = indra_persist::ScratchDir::new("chaos-tear").unwrap();
+        let path = dir.path().join("journal.wal");
         let body: Vec<u8> = (0..200u16).map(|b| b as u8).collect();
         std::fs::write(&path, &body).unwrap();
         tear_wal_tail(&path);
@@ -516,6 +515,5 @@ mod tests {
         std::fs::write(&path, [0u8; 20]).unwrap();
         tear_wal_tail(&path);
         assert_eq!(std::fs::read(&path).unwrap().len(), 20);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -12,6 +12,7 @@
 
 use indra_bench::CsvSink;
 use indra_core::json::{json_array, JsonObject};
+use indra_persist::ScratchDir;
 
 use crate::{
     resume_fleet, run_fleet, run_fleet_supervised, ChaosConfig, FleetConfig, FleetReport,
@@ -537,10 +538,9 @@ fn run_chaos(args: &SweepArgs, name: &str) -> Result<Vec<FleetReport>, String> {
         // Revival needs a durable store; conjure a scratch one when the
         // caller did not provide theirs.
         let scratch = if cfg.store_dir.is_none() {
-            let dir =
-                std::env::temp_dir().join(format!("indra-chaos-{}-{profile}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            cfg.store_dir = Some(dir.to_string_lossy().into_owned());
+            let dir = ScratchDir::new(&format!("chaos-{profile}"))
+                .map_err(|e| format!("scratch store: {e}"))?;
+            cfg.store_dir = Some(dir.path().to_string_lossy().into_owned());
             if cfg.checkpoint_every == 0 {
                 cfg.checkpoint_every = 3;
             }
@@ -550,9 +550,7 @@ fn run_chaos(args: &SweepArgs, name: &str) -> Result<Vec<FleetReport>, String> {
         };
         let sup = supervisor_for(args, profile)?;
         let report = run_fleet_supervised(&cfg, &sup);
-        if let Some(dir) = scratch {
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        drop(scratch);
         let s = report.supervision.as_ref().expect("supervised runs carry supervision stats");
         println!(
             "{:>8} {:>8} {:>8} {:>6} {:>8} {:>11} {:>10} {:>13.4} {:>8.1} {:>8}",

@@ -30,8 +30,11 @@ struct Frame {
 pub struct PhysicalMemory {
     frames: HashMap<u32, Frame>,
     /// When set, every frame touched for writing is appended to `dirty`
-    /// (with consecutive-duplicate suppression). Off by default so the
-    /// hot write path costs one branch for non-replicated runs.
+    /// (with consecutive-duplicate suppression only; [`take_dirty`]
+    /// dedups the rest). Off by default so the hot write path costs one
+    /// branch for non-replicated runs.
+    ///
+    /// [`take_dirty`]: PhysicalMemory::take_dirty
     track_dirty: bool,
     dirty: Vec<u32>,
     /// Bumped on wholesale replacement ([`PhysicalMemory::restore_state`])
@@ -72,10 +75,15 @@ impl PhysicalMemory {
         self.track_dirty
     }
 
-    /// Drains the set of frames written since the last call (may contain
-    /// non-consecutive duplicates; callers dedup as they fold).
+    /// Drains the frames written since the last call: each written frame
+    /// once, in ascending PPN order. The write path only suppresses
+    /// consecutive repeats, so the sort and dedup happen here, once per
+    /// drain, rather than on every write.
     pub fn take_dirty(&mut self) -> Vec<u32> {
-        std::mem::take(&mut self.dirty)
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.sort_unstable();
+        dirty.dedup();
+        dirty
     }
 
     /// Restore generation: bumped whenever the whole memory image is
@@ -419,6 +427,16 @@ mod tests {
         let _ = m.read_u32(0x9000); // reads never dirty
         assert_eq!(m.take_dirty(), vec![2, 5]);
         assert!(m.take_dirty().is_empty(), "take drains");
+    }
+
+    #[test]
+    fn take_dirty_returns_each_frame_once_in_order() {
+        let mut m = PhysicalMemory::new();
+        m.enable_dirty_tracking();
+        for ppn in [5, 2, 5, 2] {
+            m.write_u8(PAGE_SIZE * ppn, 1);
+        }
+        assert_eq!(m.take_dirty(), vec![2, 5]);
     }
 
     #[test]

@@ -310,10 +310,8 @@ mod tests {
 
     #[test]
     fn recover_truncates_torn_tail_and_appends_cleanly() {
-        let dir = std::env::temp_dir().join(format!("indra-ingress-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(INGRESS_FILE);
+        let dir = crate::ScratchDir::new("ingress").unwrap();
+        let path = dir.path().join(INGRESS_FILE);
 
         let (mut w, prior) = IngressWriter::recover(&path, 3).unwrap();
         assert!(prior.is_empty());
@@ -337,6 +335,5 @@ mod tests {
 
         // Wrong shard is a typed error.
         assert!(IngressWriter::recover(&path, 4).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

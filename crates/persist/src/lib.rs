@@ -33,6 +33,7 @@ mod crc;
 mod error;
 mod ingress;
 mod journal;
+mod scratch;
 mod snapshot;
 mod store;
 mod wire;
@@ -47,6 +48,7 @@ pub use ingress::{
 pub use journal::{
     encode_journal_header, encode_record, read_journal, JournalRecord, MAGIC_JOURNAL,
 };
+pub use scratch::ScratchDir;
 pub use snapshot::{decode_snapshot, encode_snapshot, Frame, FORMAT_VERSION, MAGIC_SNAPSHOT};
 pub use store::{
     CheckpointReceipt, LoadedShard, ShardCheckpointWriter, SnapshotStore, BASE_FILE, JOURNAL_FILE,

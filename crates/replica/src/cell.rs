@@ -14,7 +14,7 @@ use indra_fleet::{FleetConfig, ShardError, ShardPlan};
 use indra_mem::{PAGE_SHIFT, PAGE_SIZE};
 use indra_workloads::{build_app_scaled, WorkloadSpec};
 
-use crate::digest::{fnv1a, DigestCache, StateDigest, FNV_OFFSET};
+use crate::digest::{word_fold, DigestCache, StateDigest, FOLD_SEED};
 
 /// Ballot verdict tag: request served.
 pub const TAG_SERVED: u8 = 0;
@@ -103,8 +103,8 @@ impl ReplicaCell {
     }
 
     /// Delivers one request and runs the system to idle. Returns the
-    /// verdict plus an FNV digest over the drained response bytes (the
-    /// "output" leg of the ballot).
+    /// verdict plus a [`word_fold`] digest over the drained response
+    /// bytes (the "output" leg of the ballot).
     pub fn deliver(&mut self, data: Vec<u8>, malicious: bool) -> (CellVerdict, u64) {
         let s0 = self.sys.report().samples.len();
         let d0 = self.sys.report().detections.len();
@@ -122,10 +122,10 @@ impl ReplicaCell {
                 }
             }
         }
-        let mut output_hash = FNV_OFFSET;
+        let mut output_hash = FOLD_SEED;
         for r in &self.sys.take_responses() {
-            output_hash = fnv1a(output_hash, &r.request_id.to_le_bytes());
-            output_hash = fnv1a(output_hash, &r.data);
+            output_hash = word_fold(output_hash, &r.request_id.to_le_bytes());
+            output_hash = word_fold(output_hash, &r.data);
         }
         let report = self.sys.report();
         if let Some(s) = report.samples[s0..].iter().find(|s| s.request_id == rid) {
@@ -231,5 +231,46 @@ impl ReplicaCell {
             out += machine.predecode_stats(c);
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use indra_fleet::shard_schedule;
+
+    use super::*;
+
+    #[test]
+    fn warm_digest_equals_a_cold_rebuild_through_exploits_and_restores() {
+        let cfg = FleetConfig {
+            shards: 1,
+            requests_per_shard: 10,
+            attack_per_mille: 400,
+            ..FleetConfig::quick()
+        };
+        let plan = cfg.plan(0);
+        let schedule = shard_schedule(&cfg, &plan);
+        assert!(schedule.iter().any(|r| r.malicious), "the stream must carry exploits");
+        let mut cell = ReplicaCell::build(&cfg, &plan).expect("cell");
+        let mut saved = None;
+        let mut detections = 0;
+        for (i, req) in schedule.into_iter().enumerate() {
+            let (verdict, _) = cell.deliver(req.data, req.malicious);
+            detections += usize::from(matches!(verdict, CellVerdict::Detected { .. }));
+            let warm = cell.digest();
+            let cold = DigestCache::new().digest(&mut cell.sys);
+            assert_eq!(warm, cold, "warm digest went stale after request {i}");
+            // Roll the whole cell back every few requests, as a revival
+            // does, so the cache must notice the restore.
+            if i % 4 == 1 {
+                saved = Some(cell.freeze());
+            } else if i % 4 == 3 {
+                cell.restore(saved.as_ref().expect("saved two requests ago"));
+                let warm = cell.digest();
+                let cold = DigestCache::new().digest(&mut cell.sys);
+                assert_eq!(warm, cold, "warm digest went stale after the restore at {i}");
+            }
+        }
+        assert!(detections > 0, "an exploit must be detected and rolled back");
     }
 }

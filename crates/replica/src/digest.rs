@@ -1,7 +1,8 @@
 //! Fast incremental state digests for divergence voting.
 //!
 //! Voting compares replicas after *every* request, so the digest must
-//! cost O(dirty state), not O(full freeze). Two pieces make that work:
+//! cost O(small state + distinct dirty frames), not O(full freeze). Two
+//! pieces make that work:
 //!
 //! * **Small state** — everything except physical frames — is captured
 //!   with [`IndraSystem::freeze_sans_phys`] (no frame cloning) and
@@ -11,41 +12,57 @@
 //!   independently, which is what lets the property tests corrupt one
 //!   section and pin that the digest moves.
 //! * **Physical frames** are folded incrementally: the simulator's
-//!   [dirty tracking](indra_mem::PhysicalMemory::take_dirty) names the
-//!   frames written since the last digest, only those re-hash, and the
-//!   per-frame digests fold in PPN order from a sorted map. A
+//!   [dirty tracking](indra_mem::PhysicalMemory::take_dirty) hands back
+//!   each frame written since the last digest exactly once, in PPN
+//!   order, so a call re-hashes only the *distinct* frames the last
+//!   request wrote — never a frame per write. The per-frame digests
+//!   fold in PPN order from a sorted map. A
 //!   [restore](indra_mem::PhysicalMemory::restore_state) bumps the
 //!   phys generation, which invalidates the cache wholesale.
 //!
-//! The hash is FNV-1a/64. Its per-byte step `h = (h ^ b) * PRIME` is a
-//! bijection of the 64-bit state for fixed `b` (odd multiplier), so two
-//! inputs of equal length differing in one byte *always* produce
-//! different digests — single-byte-flip detection is a theorem, not a
+//! One hash, [`word_fold`], serves the section digests, the per-frame
+//! digests and the cell's output hash. It consumes 8-byte little-endian
+//! words, one multiply per word, with a byte-wise tail. Its step
+//! `h' = y ^ (y >> 32)` where `y = (h ^ w) * PRIME` is a bijection of
+//! the 64-bit state for a fixed word `w` (odd multiplier, invertible
+//! xorshift), and injective in `w` for a fixed state. So two inputs of
+//! equal length differing in one byte *always* produce different
+//! digests — single-byte-flip detection is a theorem, not a
 //! probabilistic claim, which keeps the forall property tests
-//! deterministic.
+//! deterministic. The xorshift carries the product's high half down:
+//! without it a flip of bit 63 moves only bit 63 of the product, and a
+//! second bit-63 flip in a later word cancels it (a rotate instead of
+//! the xorshift only relocates that cancelling bit to the next word).
 
 use std::collections::BTreeMap;
 
 use indra_core::IndraSystem;
 use indra_persist::encode_state_sections;
 
-/// FNV-1a/64 offset basis — the seed every digest chain starts from.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// The seed every digest chain starts from.
+pub const FOLD_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+const FOLD_PRIME: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Folds `bytes` into the running FNV-1a/64 state `h`.
+/// Folds one 64-bit word into the running digest `h`.
 #[must_use]
-pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    h
+#[inline]
+pub fn word_fold_u64(h: u64, w: u64) -> u64 {
+    let y = (h ^ w).wrapping_mul(FOLD_PRIME);
+    y ^ (y >> 32)
 }
 
-/// Folds a `u64` (little-endian) into the running digest.
+/// Folds `bytes` into the running digest `h`: 8-byte little-endian
+/// words first, then the tail one byte per step.
 #[must_use]
-pub fn fnv1a_u64(h: u64, v: u64) -> u64 {
-    fnv1a(h, &v.to_le_bytes())
+pub fn word_fold(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h = word_fold_u64(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+    }
+    for &b in words.remainder() {
+        h = word_fold_u64(h, u64::from(b));
+    }
+    h
 }
 
 /// One replica's state digest: per-section digests for diagnosis, the
@@ -83,9 +100,10 @@ impl DigestCache {
         DigestCache::default()
     }
 
-    /// Digests `sys` — O(small state + dirty frames) when the cache is
-    /// warm. Enables dirty tracking on the machine's physical memory if
-    /// it is not already on (the enable itself forces a full rebuild).
+    /// Digests `sys` — O(small state + distinct dirty frames) when the
+    /// cache is warm. Enables dirty tracking on the machine's physical
+    /// memory if it is not already on (the enable itself forces a full
+    /// rebuild).
     pub fn digest(&mut self, sys: &mut IndraSystem) -> StateDigest {
         let phys = sys.machine_mut().phys_mut();
         if !phys.dirty_tracking() {
@@ -97,33 +115,33 @@ impl DigestCache {
             let _ = phys.take_dirty();
             for ppn in phys.resident_ppns() {
                 let frame = phys.frame(ppn).expect("listed frame is resident");
-                self.frames.insert(ppn, fnv1a(FNV_OFFSET, frame));
+                self.frames.insert(ppn, word_fold(FOLD_SEED, frame));
             }
             self.generation = phys.generation();
             self.primed = true;
         } else {
             for ppn in phys.take_dirty() {
                 let frame = phys.frame(ppn).expect("dirty frame is resident");
-                self.frames.insert(ppn, fnv1a(FNV_OFFSET, frame));
+                self.frames.insert(ppn, word_fold(FOLD_SEED, frame));
             }
         }
-        let mut phys_digest = FNV_OFFSET;
+        let mut phys_digest = FOLD_SEED;
         for (&ppn, &d) in &self.frames {
-            phys_digest = fnv1a_u64(phys_digest, u64::from(ppn));
-            phys_digest = fnv1a_u64(phys_digest, d);
+            phys_digest = word_fold_u64(phys_digest, u64::from(ppn));
+            phys_digest = word_fold_u64(phys_digest, d);
         }
 
         let state = sys.freeze_sans_phys();
         let sections: Vec<(&'static str, u64)> = encode_state_sections(&state)
             .iter()
-            .map(|(name, bytes)| (*name, fnv1a(FNV_OFFSET, bytes)))
+            .map(|(name, bytes)| (*name, word_fold(FOLD_SEED, bytes)))
             .collect();
-        let mut value = FNV_OFFSET;
+        let mut value = FOLD_SEED;
         for &(name, d) in &sections {
-            value = fnv1a(value, name.as_bytes());
-            value = fnv1a_u64(value, d);
+            value = word_fold(value, name.as_bytes());
+            value = word_fold_u64(value, d);
         }
-        value = fnv1a_u64(value, phys_digest);
+        value = word_fold_u64(value, phys_digest);
         StateDigest { sections, phys: phys_digest, value }
     }
 }
@@ -134,24 +152,74 @@ mod tests {
 
     #[test]
     fn single_byte_flip_always_changes_the_hash() {
-        // FNV-1a's per-byte step is a bijection for fixed input byte, so
-        // equal-length inputs differing in exactly one byte must hash
-        // apart. Exercise every position of a small buffer.
+        // The fold step is a bijection of the state for a fixed word and
+        // injective in the word, so equal-length inputs differing in
+        // exactly one byte must hash apart. Exercise every position of a
+        // small buffer (whole words only; the tail has its own test).
         let base = [0x5au8; 64];
-        let h0 = fnv1a(FNV_OFFSET, &base);
+        let h0 = word_fold(FOLD_SEED, &base);
         for pos in 0..base.len() {
             for bit in 0..8 {
                 let mut b = base;
                 b[pos] ^= 1 << bit;
-                assert_ne!(fnv1a(FNV_OFFSET, &b), h0, "flip at {pos}.{bit} collided");
+                assert_ne!(word_fold(FOLD_SEED, &b), h0, "flip at {pos}.{bit} collided");
             }
         }
     }
 
     #[test]
     fn u64_fold_is_order_sensitive() {
-        let a = fnv1a_u64(fnv1a_u64(FNV_OFFSET, 1), 2);
-        let b = fnv1a_u64(fnv1a_u64(FNV_OFFSET, 2), 1);
+        let a = word_fold_u64(word_fold_u64(FOLD_SEED, 1), 2);
+        let b = word_fold_u64(word_fold_u64(FOLD_SEED, 2), 1);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn two_bit_flips_in_different_words_change_the_hash() {
+        // Not a theorem like the single flip, so check every pair of
+        // bits in a small buffer. A plain `(h ^ w) * P` step cancels a
+        // bit-63 flip with a bit-63 flip in any later word (the odd
+        // multiply moves bit 63 to bit 63 only); a rotate after the
+        // multiply cancels bit 63 of one word with a fixed bit of the
+        // next.
+        let base = [0xa5u8; 32];
+        let h0 = word_fold(FOLD_SEED, &base);
+        for i in 0..4 {
+            for j in i + 1..4 {
+                for bi in 0..64 {
+                    for bj in 0..64 {
+                        let mut b = base;
+                        b[i * 8 + bi / 8] ^= 1 << (bi % 8);
+                        b[j * 8 + bj / 8] ^= 1 << (bj % 8);
+                        assert_ne!(
+                            word_fold(FOLD_SEED, &b),
+                            h0,
+                            "flips {i}.{bi} and {j}.{bj} cancelled"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tail_byte_flip_changes_the_hash() {
+        for len in [1usize, 7, 13, 21] {
+            let base: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let h0 = word_fold(FOLD_SEED, &base);
+            for pos in len / 8 * 8..len {
+                for bit in 0..8 {
+                    let mut b = base.clone();
+                    b[pos] ^= 1 << bit;
+                    assert_ne!(word_fold(FOLD_SEED, &b), h0, "tail flip at {pos}.{bit} of {len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn u64_fold_matches_the_byte_fold_of_its_le_bytes() {
+        let v = 0x0123_4567_89ab_cdef;
+        assert_eq!(word_fold_u64(FOLD_SEED, v), word_fold(FOLD_SEED, &v.to_le_bytes()));
     }
 }

@@ -40,7 +40,7 @@ pub struct Ballot {
     /// Verdict payload (latency cycles when served, recovery level
     /// when detected).
     pub verdict_val: u64,
-    /// FNV digest over the drained response bytes.
+    /// [`word_fold`](crate::word_fold) digest over the drained response bytes.
     pub output_hash: u64,
     /// Whole-state digest after the delivery.
     pub digest: u64,

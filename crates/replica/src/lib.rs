@@ -12,8 +12,9 @@
 //! (verdict, output hash, state digest). Under determinism, *any*
 //! disagreement is a detection.
 //!
-//! * [`digest`] — O(dirty-state) incremental state digests (FNV-1a/64
-//!   chained per persist-codec section + per dirty frame).
+//! * [`digest`] — O(dirty-state) incremental state digests (a
+//!   word-at-a-time fold chained per persist-codec section + per
+//!   distinct dirty frame).
 //! * [`cell`] — one replica: a complete [`indra_core::IndraSystem`]
 //!   driven closed-loop, one request per ballot.
 //! * [`group`] — the voting/revival protocol: majority masks (K ≥ 3),
@@ -34,6 +35,6 @@ pub mod runner;
 
 pub use bench::replica_bench_json;
 pub use cell::{CellVerdict, ReplicaCell, TAG_DEAD, TAG_DETECTED, TAG_QUARANTINED, TAG_SERVED};
-pub use digest::{fnv1a, fnv1a_u64, DigestCache, StateDigest, FNV_OFFSET};
+pub use digest::{word_fold, word_fold_u64, DigestCache, StateDigest, FOLD_SEED};
 pub use group::{Ballot, GroupCounters, ReplicaGroup};
 pub use runner::{run_fleet_replicated, ReplicaOptions};

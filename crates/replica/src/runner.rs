@@ -10,6 +10,7 @@
 //! host observations and live in [`SupervisionStats`] on the outer
 //! [`FleetReport`], never inside `stats`.
 
+use std::path::PathBuf;
 use std::sync::mpsc;
 use std::time::Instant;
 
@@ -18,7 +19,7 @@ use indra_fleet::{
     aggregate_stats, plan_for_shard, ChaosConfig, FleetConfig, FleetReport, ShardHostPerf,
     ShardOutput, ShardSupervision, SupervisionStats,
 };
-use indra_persist::SnapshotStore;
+use indra_persist::{ScratchDir, SnapshotStore};
 
 use crate::group::{GroupCounters, ReplicaGroup};
 
@@ -64,17 +65,14 @@ pub fn run_fleet_replicated(
 
     // Groups need durable checkpoints for revival; default a cadence
     // when the config doesn't set one, and a scratch store when the
-    // config names no directory.
+    // config names no directory. The scratch guard lives to the end of
+    // the run and removes the store on every return path.
     let checkpoint_every = if cfg.checkpoint_every > 0 { cfg.checkpoint_every } else { 4 };
-    let (store_dir, scratch) = match &cfg.store_dir {
-        Some(dir) => (std::path::PathBuf::from(dir), false),
+    let (store_dir, _scratch) = match &cfg.store_dir {
+        Some(dir) => (PathBuf::from(dir), None),
         None => {
-            let dir = std::env::temp_dir().join(format!(
-                "indra-replica-{}-{:08x}",
-                std::process::id(),
-                cfg.seed
-            ));
-            (dir, true)
+            let scratch = ScratchDir::new("replica").map_err(|e| format!("scratch store: {e}"))?;
+            (scratch.path().to_path_buf(), Some(scratch))
         }
     };
 
@@ -182,10 +180,6 @@ pub fn run_fleet_replicated(
     sup.availability = if scheduled == 0 { 1.0 } else { disposed as f64 / scheduled as f64 };
     sup.mean_time_to_revive_ms =
         if revive_events == 0 { 0.0 } else { revive_ms / revive_events as f64 };
-
-    if scratch {
-        let _ = std::fs::remove_dir_all(&store_dir);
-    }
 
     let wall_seconds = started.elapsed().as_secs_f64();
     let wall_req_per_sec =

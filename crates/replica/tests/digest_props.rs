@@ -7,11 +7,12 @@
 //!    delivery (this is what makes agreement the only correct vote).
 //! 2. **Sensitivity** — flipping any single byte of any small-state
 //!    section, or any bit of any resident physical frame, changes the
-//!    digest. For FNV-1a over equal-length inputs this is structural
-//!    (the per-byte step is a bijection), so the forall never flakes.
+//!    digest. For the word fold over equal-length inputs this is
+//!    structural (each step is a bijection of the state and injective
+//!    in its input word), so the forall never flakes.
 
 use indra_fleet::{shard_schedule, FleetConfig};
-use indra_replica::{fnv1a, ReplicaCell, FNV_OFFSET};
+use indra_replica::{word_fold, ReplicaCell, FOLD_SEED};
 use indra_rng::forall;
 
 fn tiny() -> FleetConfig {
@@ -60,8 +61,8 @@ fn any_single_byte_section_corruption_changes_the_digest() {
             let bit = rng.gen_u8() % 8;
             let mut corrupt = bytes.clone();
             corrupt[pos] ^= 1 << bit;
-            let clean_hash = fnv1a(FNV_OFFSET, bytes);
-            let corrupt_hash = fnv1a(FNV_OFFSET, &corrupt);
+            let clean_hash = word_fold(FOLD_SEED, bytes);
+            let corrupt_hash = word_fold(FOLD_SEED, &corrupt);
             assert_eq!(clean_hash, digest.sections[i].1, "section {name} hash is the digest's");
             assert_ne!(
                 clean_hash, corrupt_hash,

@@ -71,3 +71,18 @@ fn rejuvenation_fires_and_preserves_stats() {
     assert!(sup.rejuvenations >= 2, "cadence 3 over 6 requests must fire");
     assert_eq!(rej.stats.to_json(), base.stats.to_json(), "rejuvenation is stats-neutral");
 }
+
+#[test]
+fn concurrent_same_seed_runs_keep_separate_scratch_stores() {
+    // Two runs in one process with one seed must not share a scratch
+    // checkpoint store, or one run's cleanup deletes the other's files.
+    let cfg = tiny();
+    let opts = ReplicaOptions { replicas: 2, rejuvenate_every: Some(2), chaos: ChaosConfig::off() };
+    let (a, b) = std::thread::scope(|s| {
+        let a = s.spawn(|| run_fleet_replicated(&cfg, &opts));
+        let b = s.spawn(|| run_fleet_replicated(&cfg, &opts));
+        (a.join().expect("run a"), b.join().expect("run b"))
+    });
+    let (a, b) = (a.expect("run a"), b.expect("run b"));
+    assert_eq!(a.stats.to_json(), b.stats.to_json(), "same seed, same stats");
+}
