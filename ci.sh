@@ -63,6 +63,22 @@ cmp "$REPLICA_CLEAN" "$REPLICA_STEALTH" || {
   exit 1
 }
 
+echo "== smoke: replica bench finishes and aggregates across K and cadences"
+# The quick replica sweep drives the group's finish/aggregate path at
+# K = 1/2/3 and three rejuvenation cadences. Every voting row (K = 2
+# and K = 3) must catch each stealth strike and end with stats
+# byte-identical to its clean run.
+REPLICA_BENCH="$SMOKE_DIR/BENCH_replica_smoke.json"
+timeout 300 ./target/release/fleetbench --replica-bench --quick --chaos-out "$REPLICA_BENCH"
+for k in 2 3; do
+  grep -qE "\"kind\":\"stealth\",\"replicas\":$k,[^}]*\"detection_rate\":1,[^}]*\"stats_identical_to_clean\":true" \
+    "$REPLICA_BENCH" || {
+    echo "replica bench K=$k stealth row missed a strike or moved the stats:" >&2
+    cat "$REPLICA_BENCH" >&2
+    exit 1
+  }
+done
+
 echo "== smoke: perfbench serve_httpd_k3 correctness gate"
 # One short pass of the benchmark's K=3 workload. perfbench exits 1
 # unless replay reproduces the live stats byte for byte, the replicas

@@ -16,7 +16,6 @@ use indra_bench::Histogram;
 use indra_persist::SnapshotStore;
 
 use crate::persist::{encode_meta, RestoredShard};
-use crate::report::ShardHostPerf;
 use crate::shard::{run_shard_inner, ShardHarness, ShardMsg, ShardOutput};
 use crate::{FleetConfig, FleetReport, FleetStats};
 
@@ -94,18 +93,7 @@ pub(crate) fn run_fleet_with(
         .map(|(i, o)| o.unwrap_or_else(|| panic!("shard {i} never reported")))
         .collect();
     let stats = aggregate_stats(&outputs, latency);
-    let shard_host = outputs
-        .iter()
-        .map(|o| ShardHostPerf {
-            shard: o.plan.shard,
-            insns: o.insns,
-            wall_seconds: o.wall_seconds,
-            superblocks: o.superblocks,
-            predecode: o.predecode,
-            wal_bytes: o.wal.bytes,
-            wal_pages: o.wal.pages,
-        })
-        .collect();
+    let shard_host = outputs.iter().map(ShardOutput::host_perf).collect();
 
     let wall_seconds = started.elapsed().as_secs_f64();
     let wall_req_per_sec =

@@ -37,6 +37,7 @@
 //! ```
 
 mod chaos;
+pub mod engine;
 mod executor;
 mod persist;
 mod report;
@@ -47,6 +48,7 @@ pub mod sweep;
 pub use chaos::{
     plan_for_shard, ChaosConfig, GuestBurst, HostEvent, HostEventKind, ShardChaosPlan, StealthEvent,
 };
+pub use engine::{DeliverOutcome, EngineConfig, ShardEngine};
 pub use executor::{aggregate_stats, run_fleet};
 pub use persist::{resume_fleet, RestoredShard, ShardProgress};
 pub use report::{
@@ -187,6 +189,24 @@ impl FleetConfig {
             shard,
             app: self.apps[shard % self.apps.len()],
             seed: derive_seed(self.seed, shard as u64),
+        }
+    }
+
+    /// The engine knobs every shard running `app` is built from — the
+    /// only mapping from fleet knobs to [`EngineConfig`].
+    #[must_use]
+    pub fn engine(&self, app: ServiceApp) -> EngineConfig {
+        EngineConfig {
+            app,
+            scale: self.scale,
+            scheme: self.scheme,
+            fifo_entries: self.fifo_entries,
+            cam_entries: self.cam_entries,
+            fast_paths: self.fast_paths,
+            run_slice_steps: self.run_slice_steps,
+            seed: self.seed,
+            superblocks: self.superblocks,
+            compartments: self.compartments,
         }
     }
 

@@ -240,7 +240,7 @@ impl ShardHostPerf {
 
 /// One shard's view of the supervision run: how often it died, how it
 /// died, and what the supervisor did about it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ShardSupervision {
     /// Shard index.
     pub shard: usize,
@@ -295,7 +295,7 @@ impl ShardSupervision {
 /// [`crate::run_fleet_supervised`]. Wall-clock derived (MTTR,
 /// availability under real kills), so it lives in [`FleetReport`],
 /// never in [`FleetStats`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SupervisionStats {
     /// Total shard revivals across the fleet.
     pub revivals: u64,

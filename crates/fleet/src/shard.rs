@@ -13,16 +13,17 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use indra_core::{IndraSystem, RunReport, RunState, SystemConfig};
+use indra_core::{IndraSystem, RunReport, RunState};
 use indra_persist::{CheckpointReceipt, PersistError, SnapshotStore};
 use indra_workloads::{
     build_app_scaled, detectable_attack_suite, standard_attack_suite, OpenLoopTraffic,
-    ScheduleCursor, ServiceApp, TimedRequest, WorkloadSpec,
+    ScheduleCursor, ServiceApp, TimedRequest,
 };
 
 use crate::chaos::ChaosRuntime;
+use crate::engine::ShardEngine;
 use crate::persist::{encode_progress, RestoredShard, ShardProgress};
-use crate::{FleetConfig, ShardSummary};
+use crate::{FleetConfig, ShardHostPerf, ShardSummary};
 
 /// A typed failure of the shard *harness* itself — as opposed to a
 /// failure of the simulated service (which the system handles) or a
@@ -177,6 +178,21 @@ impl ShardOutput {
             completed: self.completed,
         }
     }
+
+    /// The output's host-side performance row (wall-clock data, kept
+    /// out of the deterministic stats).
+    #[must_use]
+    pub fn host_perf(&self) -> ShardHostPerf {
+        ShardHostPerf {
+            shard: self.plan.shard,
+            insns: self.insns,
+            wall_seconds: self.wall_seconds,
+            superblocks: self.superblocks,
+            predecode: self.predecode,
+            wal_bytes: self.wal.bytes,
+            wal_pages: self.wal.pages,
+        }
+    }
 }
 
 /// A per-request latency observation streamed to the aggregator while
@@ -262,38 +278,14 @@ pub(crate) fn run_shard_inner(
     harness: ShardHarness,
     mut emit: impl FnMut(ShardMsg),
 ) -> Result<(), ShardError> {
-    let started = std::time::Instant::now();
-    let image = build_app_scaled(plan.app, cfg.scale);
     let schedule = shard_schedule(cfg, &plan);
-    let benign_sent = schedule.iter().filter(|r| !r.malicious).count() as u64;
-    let attacks_sent = schedule.len() as u64 - benign_sent;
-    let schedule_len = schedule.len() as u64;
+    let malicious: Vec<bool> = schedule.iter().map(|r| r.malicious).collect();
+    let mut engine = ShardEngine::new(&cfg.engine(plan.app))?;
+    let core = engine.system().service_cores()[0];
 
-    let sys_cfg = SystemConfig {
-        machine: indra_sim::MachineConfig {
-            fifo_entries: cfg.fifo_entries,
-            cam_entries: cfg.cam_entries,
-            fast_paths: cfg.fast_paths,
-            superblocks: cfg.superblocks,
-            ..indra_sim::MachineConfig::default()
-        },
-        scheme: cfg.scheme,
-        monitoring: true,
-        compartments: cfg.compartments,
-        ..SystemConfig::default()
-    };
-    let mut sys = IndraSystem::new(sys_cfg);
-    sys.deploy(&image).map_err(ShardError::Deploy)?;
-    let core = sys.service_cores()[0];
-
-    // Budget: generous multiple of the workload's nominal per-request
-    // work — recoveries and restarts all fit; only a harness bug (or an
-    // undetected kill) exhausts it.
-    let per_request = WorkloadSpec::for_app(plan.app)
-        .scaled_down(cfg.scale.max(1))
-        .approx_insns_per_request()
-        .max(50_000);
-    let mut steps_left = per_request * (schedule_len + 4) * 8;
+    // Budget: a generous multiple of the engine's per-request work unit
+    // over the whole schedule.
+    let mut steps_left = engine.per_request_insns() * (malicious.len() as u64 + 4) * 8;
 
     let mut queue = ScheduleCursor::new(schedule, harness.quarantined.clone());
     let mut faults_injected = 0u64;
@@ -301,7 +293,7 @@ pub(crate) fn run_shard_inner(
     let mut served_at_last_ckpt = 0u64;
     let mut chaos_cursor = 0u64;
     if let Some(r) = &restored {
-        sys.restore_state(&r.state);
+        engine.restore(&r.state);
         queue.seek(r.progress.cursor);
         faults_injected = r.progress.faults_injected;
         served_at_last_fault = r.progress.served_at_last_fault;
@@ -310,6 +302,7 @@ pub(crate) fn run_shard_inner(
         chaos_cursor = r.progress.chaos_cursor;
     }
 
+    let sys = engine.system_mut();
     let mut writer = match (&cfg.store_dir, cfg.checkpoint_every) {
         (Some(dir), every) if every > 0 => {
             let store = SnapshotStore::create(dir.as_str())?;
@@ -421,7 +414,7 @@ pub(crate) fn run_shard_inner(
             if queue.peek().is_none_or(|r| r.arrival_cycle > now) {
                 break;
             }
-            deliver_next(&mut queue, &mut sys, &harness);
+            deliver_next(&mut queue, sys, &harness);
             delivered = true;
         }
 
@@ -454,7 +447,7 @@ pub(crate) fn run_shard_inner(
                     // The service outpaced the arrival process: the next
                     // client's clock becomes "now" (idle sim cores cannot
                     // burn cycles waiting, so the gap collapses).
-                    Some(_) if !delivered => deliver_next(&mut queue, &mut sys, &harness),
+                    Some(_) if !delivered => deliver_next(&mut queue, sys, &harness),
                     Some(_) => {}
                     None => break,
                 }
@@ -474,28 +467,9 @@ pub(crate) fn run_shard_inner(
     }
 
     let completed = completed && queue.peek().is_none();
-    let machine = sys.machine();
-    let insns = (0..machine.num_cores()).map(|c| machine.core(c).retired()).sum();
-    let mut superblocks = indra_sim::SuperblockStats::default();
-    let mut predecode = indra_sim::PredecodeStats::default();
-    for c in 0..machine.num_cores() {
-        superblocks += machine.superblock_stats(c);
-        predecode += machine.predecode_stats(c);
-    }
-    let output = ShardOutput {
-        sim_cycles: sys.service_cycles(),
-        report: sys.report().clone(),
-        benign_sent,
-        attacks_sent,
-        faults_injected,
-        completed,
-        insns,
-        wall_seconds: started.elapsed().as_secs_f64(),
-        superblocks,
-        predecode,
-        wal,
-        plan,
-    };
+    let mut output = engine.output(plan, malicious, completed);
+    output.faults_injected = faults_injected;
+    output.wal = wal;
     emit(ShardMsg::Done(Box::new(output)));
     Ok(())
 }

@@ -49,7 +49,7 @@ use crate::chaos::{
 };
 use crate::executor::aggregate_stats;
 use crate::persist::{decode_progress, encode_meta, RestoredShard};
-use crate::report::{ShardHostPerf, ShardSupervision, SupervisionStats};
+use crate::report::{ShardSupervision, SupervisionStats};
 use crate::shard::{
     run_shard_inner, shard_schedule, ShardHarness, ShardMsg, ShardOutput, NOT_DELIVERING,
 };
@@ -517,9 +517,7 @@ fn assemble_report(
             quarantined: s.quarantined.iter().copied().collect(),
             abandoned: matches!(s.state, SlotState::Abandoned),
             mean_time_to_revive_ms: s.mean_revive_ms(),
-            divergences: 0,
-            divergent_masked: 0,
-            rejuvenations: 0,
+            ..ShardSupervision::default()
         })
         .collect();
     let sum =
@@ -552,24 +550,11 @@ fn assemble_report(
         } else {
             all_revivals.iter().sum::<f64>() / all_revivals.len() as f64
         },
-        divergences: 0,
-        divergent_masked: 0,
-        rejuvenations: 0,
         per_shard,
+        ..SupervisionStats::default()
     };
 
-    let shard_host = outputs
-        .iter()
-        .map(|o| ShardHostPerf {
-            shard: o.plan.shard,
-            insns: o.insns,
-            wall_seconds: o.wall_seconds,
-            superblocks: o.superblocks,
-            predecode: o.predecode,
-            wal_bytes: o.wal.bytes,
-            wal_pages: o.wal.pages,
-        })
-        .collect();
+    let shard_host = outputs.iter().map(ShardOutput::host_perf).collect();
     let wall_seconds = started.elapsed().as_secs_f64();
     let wall_req_per_sec =
         if wall_seconds > 0.0 { stats.served as f64 / wall_seconds } else { 0.0 };

@@ -29,16 +29,8 @@ struct Frame {
 #[derive(Debug, Default)]
 pub struct PhysicalMemory {
     frames: HashMap<u32, Frame>,
-    /// When set, every frame touched for writing is appended to `dirty`
-    /// (with consecutive-duplicate suppression only; [`take_dirty`]
-    /// dedups the rest). Off by default so the hot write path costs one
-    /// branch for non-replicated runs.
-    ///
-    /// [`take_dirty`]: PhysicalMemory::take_dirty
-    track_dirty: bool,
-    dirty: Vec<u32>,
     /// Bumped on wholesale replacement ([`PhysicalMemory::restore_state`])
-    /// so incremental-digest caches know their per-frame entries are stale.
+    /// so epoch-keyed caches know their per-frame entries are stale.
     generation: u64,
 }
 
@@ -50,9 +42,6 @@ impl PhysicalMemory {
     }
 
     fn frame_mut(&mut self, ppn: u32) -> &mut [u8; PAGE_SIZE as usize] {
-        if self.track_dirty && self.dirty.last() != Some(&ppn) {
-            self.dirty.push(ppn);
-        }
         let f = self
             .frames
             .entry(ppn)
@@ -61,33 +50,8 @@ impl PhysicalMemory {
         &mut f.data
     }
 
-    /// Turns on dirty-frame tracking (used by the replica layer's
-    /// incremental state digest). Tracking starts empty: frames written
-    /// *after* this call show up in [`PhysicalMemory::take_dirty`].
-    pub fn enable_dirty_tracking(&mut self) {
-        self.track_dirty = true;
-        self.dirty.clear();
-    }
-
-    /// Whether dirty-frame tracking is on.
-    #[must_use]
-    pub fn dirty_tracking(&self) -> bool {
-        self.track_dirty
-    }
-
-    /// Drains the frames written since the last call: each written frame
-    /// once, in ascending PPN order. The write path only suppresses
-    /// consecutive repeats, so the sort and dedup happen here, once per
-    /// drain, rather than on every write.
-    pub fn take_dirty(&mut self) -> Vec<u32> {
-        let mut dirty = std::mem::take(&mut self.dirty);
-        dirty.sort_unstable();
-        dirty.dedup();
-        dirty
-    }
-
     /// Restore generation: bumped whenever the whole memory image is
-    /// replaced, invalidating any per-frame digest cache.
+    /// replaced, invalidating any cache keyed on frame epochs.
     #[must_use]
     pub fn generation(&self) -> u64 {
         self.generation
@@ -96,7 +60,8 @@ impl PhysicalMemory {
     /// Write epoch of frame `ppn`: bumped by every write that touches
     /// the frame, `0` for never-materialized frames. Host-side
     /// cache-validation data (the superblock engine pins code frames by
-    /// epoch), not simulated state. Epochs reset on
+    /// epoch, the replica digest caches frame hashes by it), not
+    /// simulated state. Epochs reset on
     /// [`PhysicalMemory::restore_state`], so always pair them with
     /// [`PhysicalMemory::generation`].
     #[must_use]
@@ -264,7 +229,6 @@ impl PhysicalMemory {
         for (ppn, data) in &state.frames {
             self.frames.insert(*ppn, Frame { data: data.clone(), epoch: 0 });
         }
-        self.dirty.clear();
         self.generation += 1;
     }
 }
@@ -413,44 +377,6 @@ mod tests {
         let mut out = [0u8; 11];
         m.read_bytes(0x2000, &mut out);
         assert_eq!(&out, b"hello world");
-    }
-
-    #[test]
-    fn dirty_tracking_records_written_frames_only() {
-        let mut m = PhysicalMemory::new();
-        m.write_u32(0x1000, 1); // before enabling: not tracked
-        m.enable_dirty_tracking();
-        assert!(m.take_dirty().is_empty());
-        m.write_u8(0x2000, 7);
-        m.write_u8(0x2001, 8); // same frame, consecutive: deduped
-        m.write_u32(PAGE_SIZE * 5, 9);
-        let _ = m.read_u32(0x9000); // reads never dirty
-        assert_eq!(m.take_dirty(), vec![2, 5]);
-        assert!(m.take_dirty().is_empty(), "take drains");
-    }
-
-    #[test]
-    fn take_dirty_returns_each_frame_once_in_order() {
-        let mut m = PhysicalMemory::new();
-        m.enable_dirty_tracking();
-        for ppn in [5, 2, 5, 2] {
-            m.write_u8(PAGE_SIZE * ppn, 1);
-        }
-        assert_eq!(m.take_dirty(), vec![2, 5]);
-    }
-
-    #[test]
-    fn restore_bumps_generation_and_clears_dirty() {
-        let mut m = PhysicalMemory::new();
-        m.enable_dirty_tracking();
-        m.write_u8(0x3000, 1);
-        let snap = m.save_state();
-        let g0 = m.generation();
-        m.write_u8(0x4000, 2);
-        m.restore_state(&snap);
-        assert_eq!(m.generation(), g0 + 1);
-        assert!(m.take_dirty().is_empty());
-        assert!(m.dirty_tracking(), "restore keeps tracking enabled");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Fast incremental state digests for divergence voting.
 //!
 //! Voting compares replicas after *every* request, so the digest must
-//! cost O(small state + distinct dirty frames), not O(full freeze). Two
-//! pieces make that work:
+//! cost O(small state + written frames), not O(full freeze). Two pieces
+//! make that work:
 //!
 //! * **Small state** — everything except physical frames — is captured
 //!   with [`IndraSystem::freeze_sans_phys`] (no frame cloning) and
@@ -11,14 +11,16 @@
 //!   exactly what a checkpoint covers. Each section hashes
 //!   independently, which is what lets the property tests corrupt one
 //!   section and pin that the digest moves.
-//! * **Physical frames** are folded incrementally: the simulator's
-//!   [dirty tracking](indra_mem::PhysicalMemory::take_dirty) hands back
-//!   each frame written since the last digest exactly once, in PPN
-//!   order, so a call re-hashes only the *distinct* frames the last
-//!   request wrote — never a frame per write. The per-frame digests
-//!   fold in PPN order from a sorted map. A
-//!   [restore](indra_mem::PhysicalMemory::restore_state) bumps the
-//!   phys generation, which invalidates the cache wholesale.
+//! * **Physical frames** are hashed once per write epoch. Every write
+//!   path bumps the frame's
+//!   [write epoch](indra_mem::PhysicalMemory::frame_epoch) — the same
+//!   primitive the superblock engine pins code by — so the cache keeps
+//!   one `(epoch, digest)` pair per resident frame and re-hashes only
+//!   frames whose epoch moved since the last call, whoever wrote them.
+//!   A [restore](indra_mem::PhysicalMemory::restore_state) restarts the
+//!   epochs and bumps the phys generation, which invalidates the cache
+//!   wholesale; (generation, epoch) is unique per frame content.
+//!   The per-frame digests fold in PPN order.
 //!
 //! One hash, [`word_fold`], serves the section digests, the per-frame
 //! digests and the cell's output hash. It consumes 8-byte little-endian
@@ -81,16 +83,16 @@ pub struct StateDigest {
 
 /// Incremental digest state for one replica cell.
 ///
-/// Holds a per-frame digest per resident PPN plus the phys generation
-/// it was built against. `digest` re-hashes only the frames dirtied
-/// since the previous call; a generation bump (state restore) or first
-/// use triggers a full rebuild. Frames are never unmapped outside a
-/// restore, so the cache never holds a stale resident set.
+/// Holds an `(epoch, digest)` pair per resident PPN plus the phys
+/// generation it was built against. `digest` re-hashes only frames
+/// whose write epoch moved since the previous call; a generation bump
+/// (state restore) or first use triggers a full rebuild. Frames are
+/// never unmapped outside a restore, so the cache never holds a stale
+/// resident set.
 #[derive(Debug, Default)]
 pub struct DigestCache {
-    frames: BTreeMap<u32, u64>,
-    generation: u64,
-    primed: bool,
+    frames: BTreeMap<u32, (u64, u64)>,
+    generation: Option<u64>,
 }
 
 impl DigestCache {
@@ -100,33 +102,26 @@ impl DigestCache {
         DigestCache::default()
     }
 
-    /// Digests `sys` — O(small state + distinct dirty frames) when the
-    /// cache is warm. Enables dirty tracking on the machine's physical
-    /// memory if it is not already on (the enable itself forces a full
-    /// rebuild).
-    pub fn digest(&mut self, sys: &mut IndraSystem) -> StateDigest {
-        let phys = sys.machine_mut().phys_mut();
-        if !phys.dirty_tracking() {
-            phys.enable_dirty_tracking();
-            self.primed = false;
-        }
-        if !self.primed || phys.generation() != self.generation {
+    /// Digests `sys` — O(small state + written frames) when the cache
+    /// is warm.
+    pub fn digest(&mut self, sys: &IndraSystem) -> StateDigest {
+        let phys = sys.machine().phys();
+        if self.generation != Some(phys.generation()) {
             self.frames.clear();
-            let _ = phys.take_dirty();
-            for ppn in phys.resident_ppns() {
-                let frame = phys.frame(ppn).expect("listed frame is resident");
-                self.frames.insert(ppn, word_fold(FOLD_SEED, frame));
-            }
-            self.generation = phys.generation();
-            self.primed = true;
-        } else {
-            for ppn in phys.take_dirty() {
-                let frame = phys.frame(ppn).expect("dirty frame is resident");
-                self.frames.insert(ppn, word_fold(FOLD_SEED, frame));
-            }
+            self.generation = Some(phys.generation());
         }
         let mut phys_digest = FOLD_SEED;
-        for (&ppn, &d) in &self.frames {
+        for ppn in phys.resident_ppns() {
+            let epoch = phys.frame_epoch(ppn);
+            let d = match self.frames.get(&ppn) {
+                Some(&(e, d)) if e == epoch => d,
+                _ => {
+                    let frame = phys.frame(ppn).expect("listed frame is resident");
+                    let d = word_fold(FOLD_SEED, frame);
+                    self.frames.insert(ppn, (epoch, d));
+                    d
+                }
+            };
             phys_digest = word_fold_u64(phys_digest, u64::from(ppn));
             phys_digest = word_fold_u64(phys_digest, d);
         }

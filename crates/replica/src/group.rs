@@ -30,7 +30,7 @@ use std::time::Instant;
 use indra_fleet::{shard_schedule, FleetConfig, ShardOutput, ShardPlan, StealthEvent};
 use indra_persist::{CheckpointReceipt, PersistError, ShardCheckpointWriter, SnapshotStore};
 
-use crate::cell::{ReplicaCell, TAG_DEAD, TAG_QUARANTINED};
+use crate::cell::{ballot_key, ReplicaCell, TAG_DEAD, TAG_QUARANTINED};
 
 /// What one replica submits to the vote for one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -201,8 +201,8 @@ impl ReplicaGroup {
                     let data = data.clone();
                     scope.spawn(move || {
                         catch_unwind(AssertUnwindSafe(|| {
-                            let (verdict, output_hash) = cell.deliver(data, malicious);
-                            let (verdict_tag, verdict_val) = verdict.key();
+                            let (outcome, output_hash) = cell.deliver(data, malicious);
+                            let (verdict_tag, verdict_val) = ballot_key(outcome);
                             let digest = cell.digest().value;
                             Ballot { verdict_tag, verdict_val, output_hash, digest }
                         }))
@@ -330,29 +330,9 @@ impl ReplicaGroup {
     /// shape an unreplicated shard emits) plus the group counters.
     #[must_use]
     pub fn finish(self, completed: bool) -> (ShardOutput, GroupCounters) {
-        let benign_sent = self.schedule.iter().filter(|(_, m)| !m).count() as u64;
-        let attacks_sent = self.schedule.len() as u64 - benign_sent;
-        let leader = &self.cells[0];
-        let output = ShardOutput {
-            report: leader.report().clone(),
-            benign_sent,
-            attacks_sent,
-            faults_injected: 0,
-            sim_cycles: leader.sim_cycles(),
-            completed,
-            insns: leader.insns(),
-            wall_seconds: leader.wall_seconds(),
-            superblocks: leader.superblock_stats(),
-            predecode: leader.predecode_stats(),
-            wal: self.wal,
-            plan: self.plan,
-        };
+        let malicious = self.schedule.iter().map(|(_, m)| *m);
+        let mut output = self.cells[0].engine().output(self.plan, malicious, completed);
+        output.wal = self.wal;
         (output, self.counters)
-    }
-
-    /// The group's plan.
-    #[must_use]
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
     }
 }

@@ -12,11 +12,11 @@
 //! (verdict, output hash, state digest). Under determinism, *any*
 //! disagreement is a detection.
 //!
-//! * [`digest`] — O(dirty-state) incremental state digests (a
-//!   word-at-a-time fold chained per persist-codec section + per
-//!   distinct dirty frame).
-//! * [`cell`] — one replica: a complete [`indra_core::IndraSystem`]
-//!   driven closed-loop, one request per ballot.
+//! * [`digest`] — incremental state digests (a word-at-a-time fold
+//!   chained per persist-codec section + per resident frame, each frame
+//!   re-hashed only when its write epoch moves).
+//! * [`cell`] — one replica: an [`indra_fleet::ShardEngine`] plus its
+//!   digest cache, driven closed-loop, one request per ballot.
 //! * [`group`] — the voting/revival protocol: majority masks (K ≥ 3),
 //!   2-way detects, retries once and quarantines; plus staggered
 //!   proactive rejuvenation from the durable checkpoint store.
@@ -34,7 +34,7 @@ pub mod group;
 pub mod runner;
 
 pub use bench::replica_bench_json;
-pub use cell::{CellVerdict, ReplicaCell, TAG_DEAD, TAG_DETECTED, TAG_QUARANTINED, TAG_SERVED};
+pub use cell::{ballot_key, ReplicaCell, TAG_DEAD, TAG_DETECTED, TAG_QUARANTINED, TAG_SERVED};
 pub use digest::{word_fold, word_fold_u64, DigestCache, StateDigest, FOLD_SEED};
 pub use group::{Ballot, GroupCounters, ReplicaGroup};
 pub use runner::{run_fleet_replicated, ReplicaOptions};

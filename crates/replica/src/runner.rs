@@ -16,8 +16,8 @@ use std::time::Instant;
 
 use indra_bench::Histogram;
 use indra_fleet::{
-    aggregate_stats, plan_for_shard, ChaosConfig, FleetConfig, FleetReport, ShardHostPerf,
-    ShardOutput, ShardSupervision, SupervisionStats,
+    aggregate_stats, plan_for_shard, ChaosConfig, FleetConfig, FleetReport, ShardOutput,
+    ShardSupervision, SupervisionStats,
 };
 use indra_persist::{ScratchDir, SnapshotStore};
 
@@ -76,7 +76,7 @@ pub fn run_fleet_replicated(
         }
     };
 
-    let (tx, rx) = mpsc::channel::<Result<(usize, ShardOutput, GroupCounters), String>>();
+    let (tx, rx) = mpsc::channel::<Result<(ShardOutput, GroupCounters), String>>();
     std::thread::scope(|scope| {
         for shard in 0..cfg.shards {
             let tx = tx.clone();
@@ -100,61 +100,37 @@ pub fn run_fleet_replicated(
                     let completed = group.run().map_err(|e| format!("shard {shard}: {e}"))?;
                     Ok(group.finish(completed))
                 };
-                let msg = run().map(|(out, counters)| (shard, out, counters));
-                tx.send(msg).expect("aggregator outlives shard workers");
+                tx.send(run()).expect("aggregator outlives shard workers");
             });
         }
         drop(tx);
     });
 
-    let mut rows: Vec<(usize, ShardOutput, GroupCounters)> = Vec::with_capacity(cfg.shards);
+    let mut rows: Vec<(ShardOutput, GroupCounters)> = Vec::with_capacity(cfg.shards);
     for msg in rx {
         rows.push(msg?);
     }
-    rows.sort_by_key(|(shard, _, _)| *shard);
+    rows.sort_by_key(|(out, _)| out.plan.shard);
+    let (outputs, counters): (Vec<ShardOutput>, Vec<GroupCounters>) = rows.into_iter().unzip();
 
     let mut latency = Histogram::new();
-    for (_, out, _) in &rows {
+    for out in &outputs {
         for s in &out.report.samples {
             latency.record(s.cycles);
         }
     }
-    let outputs: Vec<ShardOutput> = rows.iter().map(|(_, out, _)| clone_output(out)).collect();
     let stats = aggregate_stats(&outputs, latency);
-
-    let shard_host: Vec<ShardHostPerf> = outputs
-        .iter()
-        .map(|o| ShardHostPerf {
-            shard: o.plan.shard,
-            insns: o.insns,
-            wall_seconds: o.wall_seconds,
-            superblocks: o.superblocks,
-            predecode: o.predecode,
-            wal_bytes: o.wal.bytes,
-            wal_pages: o.wal.pages,
-        })
-        .collect();
+    let shard_host = outputs.iter().map(ShardOutput::host_perf).collect();
 
     let mut sup = SupervisionStats {
-        revivals: 0,
-        crashes: 0,
-        hangs: 0,
-        harness_errors: 0,
-        chaos_host_events: 0,
-        quarantined_requests: 0,
-        abandoned_shards: 0,
-        availability: 0.0,
-        mean_time_to_revive_ms: 0.0,
-        divergences: 0,
-        divergent_masked: 0,
-        rejuvenations: 0,
-        per_shard: Vec::with_capacity(rows.len()),
+        per_shard: Vec::with_capacity(outputs.len()),
+        ..SupervisionStats::default()
     };
     let mut revive_ms = 0.0;
     let mut revive_events = 0u64;
     let mut disposed = 0u64;
     let mut scheduled = 0u64;
-    for (shard, out, counters) in &rows {
+    for (out, counters) in outputs.iter().zip(&counters) {
         sup.divergences += counters.divergences;
         sup.divergent_masked += counters.divergent_masked;
         sup.rejuvenations += counters.rejuvenations;
@@ -164,17 +140,12 @@ pub fn run_fleet_replicated(
         disposed += out.report.served + out.report.detections.len() as u64;
         scheduled += out.benign_sent + out.attacks_sent;
         sup.per_shard.push(ShardSupervision {
-            shard: *shard,
-            revivals: 0,
-            crashes: 0,
-            hangs: 0,
-            harness_errors: 0,
+            shard: out.plan.shard,
             quarantined: out.report.quarantined.clone(),
-            abandoned: false,
-            mean_time_to_revive_ms: 0.0,
             divergences: u32::try_from(counters.divergences).unwrap_or(u32::MAX),
             divergent_masked: u32::try_from(counters.divergent_masked).unwrap_or(u32::MAX),
             rejuvenations: u32::try_from(counters.rejuvenations).unwrap_or(u32::MAX),
+            ..ShardSupervision::default()
         });
     }
     sup.availability = if scheduled == 0 { 1.0 } else { disposed as f64 / scheduled as f64 };
@@ -185,23 +156,4 @@ pub fn run_fleet_replicated(
     let wall_req_per_sec =
         if wall_seconds > 0.0 { stats.served as f64 / wall_seconds } else { 0.0 };
     Ok(FleetReport { stats, wall_seconds, wall_req_per_sec, shard_host, supervision: Some(sup) })
-}
-
-/// [`ShardOutput`] has no `Clone` derive (it carries a full report);
-/// rebuild one field-by-field for the aggregation pass.
-fn clone_output(out: &ShardOutput) -> ShardOutput {
-    ShardOutput {
-        plan: out.plan.clone(),
-        report: out.report.clone(),
-        benign_sent: out.benign_sent,
-        attacks_sent: out.attacks_sent,
-        faults_injected: out.faults_injected,
-        sim_cycles: out.sim_cycles,
-        completed: out.completed,
-        insns: out.insns,
-        wall_seconds: out.wall_seconds,
-        superblocks: out.superblocks,
-        predecode: out.predecode,
-        wal: out.wal,
-    }
 }

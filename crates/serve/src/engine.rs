@@ -1,10 +1,11 @@
-//! The deterministic per-shard service engine shared by live serving
-//! and offline replay.
+//! The per-shard service driver shared by live serving and offline
+//! replay.
 //!
 //! Byte-identical record/replay holds *by construction*: the live
-//! worker and the replay path drive the same [`ShardEngine`] through
-//! the same operation sequence — deliver one request, run the system to
-//! idle under a fixed slice size and step budget, or quarantine a seq —
+//! worker and the replay path drive the same [`ShardEngine`] (the one
+//! shard engine, defined in [`indra_fleet::engine`] and re-exported
+//! here with its [`EngineConfig`] and `serve.meta` codec) through the
+//! same operation sequence — deliver one request, or quarantine a seq —
 //! and the ingress log records exactly that operation sequence. No sim
 //! arrival clock is involved (a live service cannot know simulated
 //! inter-arrival gaps), so a shard's trajectory is a pure function of
@@ -20,136 +21,14 @@
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Instant;
 
-use indra_core::{IndraSystem, RecoveryLevel, SchemeKind, SystemConfig, SystemState};
-use indra_fleet::{ShardError, ShardOutput, ShardPlan};
-use indra_persist::{
-    CheckpointReceipt, IngressKind, IngressRecord, PersistError, WireReader, WireWriter,
+use indra_core::{RecoveryLevel, SystemState};
+pub use indra_fleet::engine::{
+    decode_engine_meta, encode_engine_meta, DeliverOutcome, EngineConfig, ShardEngine,
 };
+use indra_fleet::{ShardError, ShardOutput, ShardPlan};
+use indra_persist::{CheckpointReceipt, IngressKind, IngressRecord, PersistError};
 use indra_rng::derive_seed;
-use indra_workloads::{build_app_scaled, ServiceApp, WorkloadSpec};
-
-/// Everything that determines a shard engine's simulated behavior.
-/// Persisted to `serve.meta` so `--replay` needs no other flags; all
-/// fields are sim-deterministic knobs (host-side concerns like queue
-/// depth and checkpoint cadence deliberately live elsewhere).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EngineConfig {
-    /// The service every shard runs. One app for the whole daemon:
-    /// attack payloads embed image-specific addresses, and admission
-    /// routes round-robin, so heterogeneous shards would misroute
-    /// exploits.
-    pub app: ServiceApp,
-    /// Work-scale divisor (1 = paper scale).
-    pub scale: u32,
-    /// Checkpoint scheme each shard deploys.
-    pub scheme: SchemeKind,
-    /// Trace FIFO entries per shard machine.
-    pub fifo_entries: usize,
-    /// CAM filter entries per shard machine.
-    pub cam_entries: usize,
-    /// Host-side fast paths (sim-identical either way).
-    pub fast_paths: bool,
-    /// Run-slice granularity of the deliver loop.
-    pub run_slice_steps: u64,
-    /// Master seed (only labels [`ShardPlan`]s — live traffic comes
-    /// from clients, not from a seeded schedule).
-    pub seed: u64,
-    /// Superblock execution engine (sim-identical either way, like
-    /// `fast_paths`; only the host's speed moves).
-    pub superblocks: bool,
-    /// Per-request compartments: fine-grained rewind-and-discard on
-    /// detection. Sim-identical on attack-free fault-free traffic; under
-    /// attack it changes recovery outcomes by design, so it is a
-    /// deterministic knob and must travel through `serve.meta`.
-    pub compartments: bool,
-}
-
-impl Default for EngineConfig {
-    fn default() -> EngineConfig {
-        EngineConfig {
-            app: ServiceApp::Httpd,
-            scale: 40,
-            scheme: SchemeKind::Delta,
-            fifo_entries: 32,
-            cam_entries: 32,
-            fast_paths: true,
-            run_slice_steps: 200_000,
-            seed: 0x5e71_ce00,
-            superblocks: true,
-            compartments: true,
-        }
-    }
-}
-
-fn app_tag(app: ServiceApp) -> u8 {
-    ServiceApp::ALL.iter().position(|&a| a == app).expect("app in ALL") as u8
-}
-
-fn scheme_tag(scheme: SchemeKind) -> u8 {
-    match scheme {
-        SchemeKind::None => 0,
-        SchemeKind::Delta => 1,
-        SchemeKind::VirtualCheckpoint => 2,
-        SchemeKind::SoftwareCheckpoint => 3,
-        SchemeKind::UndoLog => 4,
-    }
-}
-
-fn scheme_from_tag(tag: u8) -> Result<SchemeKind, PersistError> {
-    Ok(match tag {
-        0 => SchemeKind::None,
-        1 => SchemeKind::Delta,
-        2 => SchemeKind::VirtualCheckpoint,
-        3 => SchemeKind::SoftwareCheckpoint,
-        4 => SchemeKind::UndoLog,
-        _ => return Err(PersistError::Corrupt { context: "unknown scheme kind" }),
-    })
-}
-
-/// Serializes an [`EngineConfig`] for `serve.meta`.
-#[must_use]
-pub fn encode_engine_meta(cfg: &EngineConfig) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u8(app_tag(cfg.app));
-    w.u32(cfg.scale);
-    w.u8(scheme_tag(cfg.scheme));
-    w.usize(cfg.fifo_entries);
-    w.usize(cfg.cam_entries);
-    w.bool(cfg.fast_paths);
-    w.u64(cfg.run_slice_steps);
-    w.u64(cfg.seed);
-    w.bool(cfg.superblocks);
-    w.bool(cfg.compartments);
-    w.finish()
-}
-
-/// Deserializes `serve.meta` back into an [`EngineConfig`].
-///
-/// # Errors
-///
-/// Typed [`PersistError`] on truncation or unknown tags.
-pub fn decode_engine_meta(bytes: &[u8]) -> Result<EngineConfig, PersistError> {
-    let mut r = WireReader::new(bytes);
-    let tag = r.u8("serve meta app")? as usize;
-    let cfg = EngineConfig {
-        app: *ServiceApp::ALL
-            .get(tag)
-            .ok_or(PersistError::Corrupt { context: "unknown service app" })?,
-        scale: r.u32("serve meta scale")?,
-        scheme: scheme_from_tag(r.u8("serve meta scheme")?)?,
-        fifo_entries: r.usize("serve meta fifo")?,
-        cam_entries: r.usize("serve meta cam")?,
-        fast_paths: r.bool("serve meta fast paths")?,
-        run_slice_steps: r.u64("serve meta slice")?,
-        seed: r.u64("serve meta seed")?,
-        superblocks: r.bool("serve meta superblocks")?,
-        compartments: r.bool("serve meta compartments")?,
-    };
-    r.expect_exhausted("serve meta trailing bytes")?;
-    Ok(cfg)
-}
 
 /// What one guarded delivery produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,122 +45,6 @@ pub enum Disposition {
     },
     /// The request killed the shard twice and was quarantined.
     Quarantined,
-}
-
-/// Raw outcome of a single unguarded delivery.
-enum DeliverOutcome {
-    Served {
-        cycles: u64,
-    },
-    Detected {
-        level: RecoveryLevel,
-    },
-    /// The engine is no longer trustworthy (halt / hang / vanished
-    /// request) — the runner rebuilds it.
-    Dead,
-}
-
-/// One shard's simulated system plus the fixed drive discipline.
-pub struct ShardEngine {
-    sys: IndraSystem,
-    slice: u64,
-    budget_slices: u64,
-    started: Instant,
-}
-
-impl std::fmt::Debug for ShardEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardEngine").field("slice", &self.slice).finish_non_exhaustive()
-    }
-}
-
-impl ShardEngine {
-    /// Builds and deploys a fresh engine.
-    ///
-    /// # Errors
-    ///
-    /// [`ShardError::Deploy`] when the service image fails to load.
-    pub fn new(cfg: &EngineConfig) -> Result<ShardEngine, ShardError> {
-        let image = build_app_scaled(cfg.app, cfg.scale);
-        let sys_cfg = SystemConfig {
-            machine: indra_sim::MachineConfig {
-                fifo_entries: cfg.fifo_entries,
-                cam_entries: cfg.cam_entries,
-                fast_paths: cfg.fast_paths,
-                superblocks: cfg.superblocks,
-                ..indra_sim::MachineConfig::default()
-            },
-            scheme: cfg.scheme,
-            monitoring: true,
-            compartments: cfg.compartments,
-            ..SystemConfig::default()
-        };
-        let mut sys = IndraSystem::new(sys_cfg);
-        sys.deploy(&image).map_err(ShardError::Deploy)?;
-        // Same budget shape as the batch shard loop: a generous multiple
-        // of the workload's nominal per-request work, but per *request*
-        // here since there is no schedule length to pre-multiply.
-        let per_request = WorkloadSpec::for_app(cfg.app)
-            .scaled_down(cfg.scale.max(1))
-            .approx_insns_per_request()
-            .max(50_000);
-        let slice = cfg.run_slice_steps.max(1);
-        let budget_slices = (per_request * 16).div_ceil(slice) + 2;
-        Ok(ShardEngine { sys, slice, budget_slices, started: Instant::now() })
-    }
-
-    /// Delivers one request and runs the system to idle under the fixed
-    /// step budget.
-    fn deliver(&mut self, data: Vec<u8>, malicious: bool) -> DeliverOutcome {
-        let s0 = self.sys.report().samples.len();
-        let d0 = self.sys.report().detections.len();
-        let rid = self.sys.push_request(data, malicious);
-        let mut slices_left = self.budget_slices;
-        loop {
-            match self.sys.run(self.slice) {
-                indra_core::RunState::Idle => break,
-                indra_core::RunState::Halted => return DeliverOutcome::Dead,
-                indra_core::RunState::BudgetExhausted => {
-                    slices_left -= 1;
-                    if slices_left == 0 {
-                        return DeliverOutcome::Dead;
-                    }
-                }
-            }
-        }
-        // Keep the response queue bounded; the report carries the
-        // authoritative outcome. Draining is part of the deterministic
-        // op sequence (both paths drain once per delivery).
-        let _ = self.sys.take_responses();
-        if let Some(s) = self.sys.report().samples[s0..].iter().find(|s| s.request_id == rid) {
-            return DeliverOutcome::Served { cycles: s.cycles };
-        }
-        if let Some(d) = self.sys.report().detections[d0..].last() {
-            return DeliverOutcome::Detected { level: d.level };
-        }
-        DeliverOutcome::Dead
-    }
-
-    fn quarantine(&mut self, seq: u64) {
-        self.sys.note_quarantined(seq);
-    }
-
-    /// Freezes the full system state (for checkpointing).
-    #[must_use]
-    pub fn freeze(&self) -> SystemState {
-        self.sys.freeze()
-    }
-
-    /// Mutable access to the simulated system — what the replica layer
-    /// digests for divergence voting. State-neutral reads only; the
-    /// drive discipline stays the engine's.
-    pub fn system_mut(&mut self) -> &mut IndraSystem {
-        &mut self.sys
-    }
-
-    fn restore(&mut self, state: &SystemState) {
-        self.sys.restore_state(state);
-    }
 }
 
 /// Drives one shard through its admitted-request history, live or
@@ -448,9 +211,9 @@ impl ShardRunner {
         let engine = &mut self.engine;
         let outcome = catch_unwind(AssertUnwindSafe(|| engine.deliver(data, malicious)));
         match outcome {
-            Ok(DeliverOutcome::Served { cycles }) => Some(Disposition::Served { cycles }),
-            Ok(DeliverOutcome::Detected { level }) => Some(Disposition::Detected { level }),
-            Ok(DeliverOutcome::Dead) | Err(_) => None,
+            Ok((DeliverOutcome::Served { cycles }, _)) => Some(Disposition::Served { cycles }),
+            Ok((DeliverOutcome::Detected { level }, _)) => Some(Disposition::Detected { level }),
+            Ok((DeliverOutcome::Dead, _)) | Err(_) => None,
         }
     }
 
@@ -474,7 +237,7 @@ impl ShardRunner {
     /// Read access to the run report (for live counters).
     #[must_use]
     pub fn report(&self) -> &indra_core::RunReport {
-        self.engine.sys.report()
+        self.engine.system().report()
     }
 
     /// Quarantined request count so far.
@@ -495,34 +258,15 @@ impl ShardRunner {
     /// admitted request (quarantined ones included — they were sent).
     #[must_use]
     pub fn finish(self, completed: bool) -> ShardOutput {
-        let benign_sent = self.requests.iter().filter(|r| !r.malicious).count() as u64;
-        let attacks_sent = self.requests.len() as u64 - benign_sent;
-        let machine = self.engine.sys.machine();
-        let insns = (0..machine.num_cores()).map(|c| machine.core(c).retired()).sum();
-        let mut superblocks = indra_sim::SuperblockStats::default();
-        let mut predecode = indra_sim::PredecodeStats::default();
-        for c in 0..machine.num_cores() {
-            superblocks += machine.superblock_stats(c);
-            predecode += machine.predecode_stats(c);
-        }
-        ShardOutput {
-            plan: ShardPlan {
-                shard: self.shard,
-                app: self.cfg.app,
-                seed: derive_seed(self.cfg.seed, self.shard as u64),
-            },
-            sim_cycles: self.engine.sys.service_cycles(),
-            report: self.engine.sys.report().clone(),
-            benign_sent,
-            attacks_sent,
-            faults_injected: 0,
-            completed,
-            insns,
-            wall_seconds: self.engine.started.elapsed().as_secs_f64(),
-            superblocks,
-            predecode,
-            wal: self.wal,
-        }
+        let plan = ShardPlan {
+            shard: self.shard,
+            app: self.cfg.app,
+            seed: derive_seed(self.cfg.seed, self.shard as u64),
+        };
+        let mut output =
+            self.engine.output(plan, self.requests.iter().map(|r| r.malicious), completed);
+        output.wal = self.wal;
+        output
     }
 }
 
@@ -530,7 +274,7 @@ impl ShardRunner {
 mod tests {
     use super::*;
     use indra_persist::IngressKind;
-    use indra_workloads::{benign_request, detectable_attack_suite};
+    use indra_workloads::{benign_request, build_app_scaled, detectable_attack_suite};
 
     fn quick_cfg() -> EngineConfig {
         EngineConfig { scale: 60, ..EngineConfig::default() }
@@ -538,21 +282,6 @@ mod tests {
 
     fn req(seq: u64, malicious: bool, data: Vec<u8>) -> IngressRecord {
         IngressRecord { seq, kind: IngressKind::Request, request_id: seq, malicious, data }
-    }
-
-    #[test]
-    fn meta_roundtrip() {
-        let cfg = EngineConfig {
-            app: ServiceApp::Bind,
-            scale: 17,
-            scheme: SchemeKind::UndoLog,
-            fast_paths: false,
-            superblocks: false,
-            compartments: false,
-            ..EngineConfig::default()
-        };
-        assert_eq!(decode_engine_meta(&encode_engine_meta(&cfg)).unwrap(), cfg);
-        assert!(decode_engine_meta(&[9, 9]).is_err());
     }
 
     #[test]

@@ -21,6 +21,7 @@ use indra::serve::EngineConfig;
 use indra::workloads::{
     attack_request, benign_request, build_app_scaled, Attack, ServiceApp, UNMAPPED_ADDR,
 };
+use indra_replica::{run_fleet_replicated, ReplicaOptions};
 
 const SCALE: u32 = 40;
 
@@ -203,6 +204,34 @@ fn attack_free_fleet_stats_byte_identical_compartments_on_vs_off() {
         on.stats.to_json(),
         off.stats.to_json(),
         "attack-free fleet stats must not move when compartments toggle"
+    );
+}
+
+#[test]
+fn replicated_fleet_honours_the_compartments_knob_like_the_plain_fleet() {
+    // Under dormant attacks the compartment path changes outcomes by
+    // design, so toggling it must move the deterministic stats — for
+    // the replicated runner exactly as for the plain executor. A
+    // replica that ignored the knob would run compartments on either
+    // way and report identical stats.
+    let base = FleetConfig {
+        shards: 2,
+        requests_per_shard: 12,
+        attack_per_mille: 400,
+        include_dormant_attacks: true,
+        ..FleetConfig::quick()
+    };
+    let cfg = |compartments| FleetConfig { compartments, ..base.clone() };
+    let plain = |compartments| run_fleet(&cfg(compartments)).stats.to_json();
+    let replicated = |compartments| {
+        let opts = ReplicaOptions { replicas: 1, ..ReplicaOptions::default() };
+        run_fleet_replicated(&cfg(compartments), &opts).expect("replicated run").stats.to_json()
+    };
+    assert_ne!(plain(true), plain(false), "the plain fleet must feel the compartments knob");
+    assert_ne!(
+        replicated(true),
+        replicated(false),
+        "the replicated fleet must feel the compartments knob"
     );
 }
 

@@ -4,16 +4,13 @@
 //! never interrupted — and that no shape of on-disk damage short of a
 //! corrupted base snapshot can make recovery panic.
 
-use std::path::PathBuf;
-
 use indra_core::SchemeKind;
 use indra_fleet::{resume_fleet, run_fleet, FleetConfig};
+use indra_persist::ScratchDir;
 use indra_workloads::ServiceApp;
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("indra-{}-{}", tag, std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn scratch(tag: &str) -> ScratchDir {
+    ScratchDir::new(tag).expect("scratch dir")
 }
 
 fn small_fleet() -> FleetConfig {
@@ -29,7 +26,8 @@ fn small_fleet() -> FleetConfig {
 
 #[test]
 fn killed_and_resumed_run_matches_uninterrupted() {
-    let dir = scratch("crash-resume");
+    let guard = scratch("crash-resume");
+    let dir = guard.path();
     let clean = run_fleet(&small_fleet());
     let clean_json = clean.stats.to_json();
     assert!(clean.stats.per_shard.iter().all(|s| s.completed), "baseline must finish");
@@ -48,14 +46,12 @@ fn killed_and_resumed_run_matches_uninterrupted() {
     );
     assert!(killed.stats.served < clean.stats.served);
 
-    let resumed = resume_fleet(&dir).expect("resume");
+    let resumed = resume_fleet(dir).expect("resume");
     assert_eq!(
         resumed.stats.to_json(),
         clean_json,
         "resumed stats must be byte-identical to the uninterrupted run"
     );
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -63,7 +59,8 @@ fn checkpointing_overhead_is_invisible_in_sim_time() {
     // `freeze` never mutates the system, so a checkpointed run must be
     // cycle-for-cycle identical to `--checkpoint-every 0` — stronger
     // than the <5% budget the acceptance criteria ask for.
-    let dir = scratch("ckpt-overhead");
+    let guard = scratch("ckpt-overhead");
+    let dir = guard.path();
     let plain = run_fleet(&small_fleet());
     let checkpointed = run_fleet(&FleetConfig {
         checkpoint_every: 2,
@@ -71,28 +68,28 @@ fn checkpointing_overhead_is_invisible_in_sim_time() {
         ..small_fleet()
     });
     assert_eq!(checkpointed.stats.to_json(), plain.stats.to_json());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn resume_of_a_finished_run_replays_to_the_same_stats() {
     // A run that completed normally leaves its last checkpoint behind;
     // resuming it just replays the tail and lands on identical stats.
-    let dir = scratch("finished-resume");
+    let guard = scratch("finished-resume");
+    let dir = guard.path();
     let full = run_fleet(&FleetConfig {
         checkpoint_every: 4,
         store_dir: Some(dir.to_string_lossy().into_owned()),
         ..small_fleet()
     });
     assert!(full.stats.per_shard.iter().all(|s| s.completed));
-    let resumed = resume_fleet(&dir).expect("resume");
+    let resumed = resume_fleet(dir).expect("resume");
     assert_eq!(resumed.stats.to_json(), full.stats.to_json());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn resume_of_a_missing_directory_is_a_typed_error() {
-    let dir = scratch("no-such-store");
+    let guard = scratch("no-such-store");
+    let dir = guard.path().join("missing");
     let err = resume_fleet(&dir).expect_err("must not invent a fleet");
     // Any typed PersistError is acceptable; panicking is not.
     let _ = err.to_string();
@@ -104,7 +101,8 @@ fn resume_with_a_missing_shard_directory_is_a_typed_error() {
     // directory was deleted (partial copy, botched cleanup) must fail
     // with a typed, actionable error — not a panic, and not a silent
     // from-scratch rerun of the amputated shard.
-    let dir = scratch("amputated-resume");
+    let guard = scratch("amputated-resume");
+    let dir = guard.path();
     let killed = run_fleet(&FleetConfig {
         checkpoint_every: 3,
         store_dir: Some(dir.to_string_lossy().into_owned()),
@@ -114,12 +112,10 @@ fn resume_with_a_missing_shard_directory_is_a_typed_error() {
     assert!(killed.stats.served > 0);
     std::fs::remove_dir_all(dir.join("shard-0001")).expect("amputate shard 1");
 
-    let err = resume_fleet(&dir).expect_err("a missing shard directory must be an error");
+    let err = resume_fleet(dir).expect_err("a missing shard directory must be an error");
     assert!(
         matches!(err, indra_persist::PersistError::MissingShard { shard: 1 }),
         "expected MissingShard for shard 1, got: {err}"
     );
     assert!(err.to_string().contains("shard 1"), "the message names the missing shard: {err}");
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

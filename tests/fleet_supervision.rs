@@ -4,17 +4,14 @@
 //! fleet stats come out **byte-identical** to a run nothing ever
 //! touched.
 
-use std::path::PathBuf;
-
 use indra_fleet::{
     run_fleet, run_fleet_supervised, ChaosConfig, FleetConfig, FleetReport, SupervisorConfig,
 };
+use indra_persist::ScratchDir;
 use indra_workloads::ServiceApp;
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("indra-{}-{}", tag, std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn scratch(tag: &str) -> ScratchDir {
+    ScratchDir::new(tag).expect("scratch dir")
 }
 
 fn small_fleet() -> FleetConfig {
@@ -48,8 +45,9 @@ fn supervised(cfg: &FleetConfig, profile: &str) -> FleetReport {
 fn chaos_kills_revive_to_byte_identical_stats() {
     let baseline = run_fleet(&small_fleet()).stats.to_json();
 
-    let dir = scratch("sup-kills");
-    let report = supervised(&checkpointed_fleet(&dir), "kills");
+    let guard = scratch("sup-kills");
+    let dir = guard.path();
+    let report = supervised(&checkpointed_fleet(dir), "kills");
     let sup = report.supervision.as_ref().expect("supervised run");
 
     assert!(sup.revivals > 0, "the kills profile must actually kill something");
@@ -63,16 +61,15 @@ fn chaos_kills_revive_to_byte_identical_stats() {
         baseline,
         "checkpoint revival must replay to byte-identical deterministic stats"
     );
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn wal_tear_recovers_from_the_valid_journal_prefix() {
     let baseline = run_fleet(&small_fleet()).stats.to_json();
 
-    let dir = scratch("sup-wal");
-    let report = supervised(&checkpointed_fleet(&dir), "wal");
+    let guard = scratch("sup-wal");
+    let dir = guard.path();
+    let report = supervised(&checkpointed_fleet(dir), "wal");
     let sup = report.supervision.as_ref().expect("supervised run");
 
     assert!(sup.revivals > 0, "the wal profile must tear at least one journal");
@@ -82,15 +79,14 @@ fn wal_tear_recovers_from_the_valid_journal_prefix() {
         baseline,
         "longest-valid-prefix recovery plus deterministic replay must reconverge"
     );
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn hung_shard_is_cancelled_and_revived() {
     let baseline = run_fleet(&small_fleet()).stats.to_json();
 
-    let dir = scratch("sup-stall");
+    let guard = scratch("sup-stall");
+    let dir = guard.path();
     let sup_cfg = SupervisorConfig {
         chaos: ChaosConfig::profile("stalls").expect("known profile"),
         // Short deadline so the test stays fast; still far beyond one
@@ -98,7 +94,7 @@ fn hung_shard_is_cancelled_and_revived() {
         deadline_ms: 2_000,
         ..SupervisorConfig::default()
     };
-    let report = run_fleet_supervised(&checkpointed_fleet(&dir), &sup_cfg);
+    let report = run_fleet_supervised(&checkpointed_fleet(dir), &sup_cfg);
     let sup = report.supervision.as_ref().expect("supervised run");
 
     assert!(sup.hangs > 0, "the stalls profile must hang at least one shard");
@@ -109,16 +105,16 @@ fn hung_shard_is_cancelled_and_revived() {
         baseline,
         "a cancelled zombie must be replaced by an exact checkpoint replay"
     );
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn poison_request_is_quarantined_and_reproducible() {
-    let dir_a = scratch("sup-poison-a");
-    let a = supervised(&checkpointed_fleet(&dir_a), "poison");
-    let dir_b = scratch("sup-poison-b");
-    let b = supervised(&checkpointed_fleet(&dir_b), "poison");
+    let guard_a = scratch("sup-poison-a");
+    let dir_a = guard_a.path();
+    let a = supervised(&checkpointed_fleet(dir_a), "poison");
+    let guard_b = scratch("sup-poison-b");
+    let dir_b = guard_b.path();
+    let b = supervised(&checkpointed_fleet(dir_b), "poison");
 
     let sup = a.supervision.as_ref().expect("supervised run");
     assert_eq!(sup.quarantined_requests, 1, "the poison request must be quarantined");
@@ -141,9 +137,6 @@ fn poison_request_is_quarantined_and_reproducible() {
     assert_eq!(sup.crashes, bs.crashes);
     assert_eq!(sup.quarantined_requests, bs.quarantined_requests);
     assert_eq!(sup.per_shard[0].quarantined, bs.per_shard[0].quarantined);
-
-    let _ = std::fs::remove_dir_all(&dir_a);
-    let _ = std::fs::remove_dir_all(&dir_b);
 }
 
 #[test]

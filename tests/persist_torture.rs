@@ -4,18 +4,15 @@
 //! record or return a typed [`indra_persist::PersistError`].
 
 use std::fs;
-use std::path::PathBuf;
 
 use indra_core::{IndraSystem, SchemeKind, SystemConfig, SystemState};
-use indra_persist::{read_journal, PersistError, SnapshotStore};
+use indra_persist::{read_journal, PersistError, ScratchDir, SnapshotStore};
 use indra_workloads::{build_app_scaled, detectable_attack_suite, OpenLoopTraffic, ServiceApp};
 
 const SCALE: u32 = 40;
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("indra-{}-{}", tag, std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
+fn scratch(tag: &str) -> ScratchDir {
+    ScratchDir::new(tag).expect("scratch dir")
 }
 
 /// Three successive frozen states of one real system, each separated by
@@ -77,10 +74,11 @@ fn tail_record_start(journal: &[u8], records: usize) -> usize {
 
 #[test]
 fn journal_survives_truncation_at_every_tail_byte_and_crc_flips() {
-    let dir = scratch("persist-torture");
+    let guard = scratch("persist-torture");
+    let dir = guard.path();
     let states = three_real_states();
 
-    let store = SnapshotStore::create(&dir).expect("store");
+    let store = SnapshotStore::create(dir).expect("store");
     let mut w = store.shard_writer(0).expect("writer");
     for (i, s) in states.iter().enumerate() {
         w.checkpoint(s, &[i as u8]).expect("checkpoint");
@@ -147,8 +145,6 @@ fn journal_survives_truncation_at_every_tail_byte_and_crc_flips() {
         Err(PersistError::ChecksumMismatch { .. }) => {}
         other => panic!("damaged base must be a checksum error, got {other:?}"),
     }
-
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -156,10 +152,11 @@ fn stale_journal_from_an_older_base_is_ignored() {
     // Crash between rewriting base.snap and resetting the journal: the
     // journal's base_id no longer matches, so its records must NOT be
     // replayed onto the new base.
-    let dir = scratch("persist-stale");
+    let guard = scratch("persist-stale");
+    let dir = guard.path();
     let states = three_real_states();
 
-    let store = SnapshotStore::create(&dir).expect("store");
+    let store = SnapshotStore::create(dir).expect("store");
     let mut w = store.shard_writer(0).expect("writer");
     for s in &states {
         w.checkpoint(s, b"x").expect("checkpoint");
@@ -177,6 +174,4 @@ fn stale_journal_from_an_older_base_is_ignored() {
     assert_eq!(loaded.seq, 0, "stale records must be ignored");
     assert_eq!(loaded.state, states[2]);
     assert_eq!(loaded.progress, b"y");
-
-    let _ = fs::remove_dir_all(&dir);
 }

@@ -4,18 +4,16 @@
 //! byte-identically reproducible from its per-shard ingress logs alone.
 
 use std::net::TcpStream;
-use std::path::PathBuf;
 
+use indra_persist::ScratchDir;
 use indra_serve::proto::{read_frame, write_frame};
 use indra_serve::{
     replay_state_dir, Daemon, EngineConfig, Frame, HealthReply, ServeConfig, Verdict,
 };
 use indra_workloads::{benign_request, build_app_scaled, detectable_attack_suite, ServiceApp};
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("indra-{}-{}", tag, std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn scratch(tag: &str) -> ScratchDir {
+    ScratchDir::new(tag).expect("scratch dir")
 }
 
 fn test_config(dir: &std::path::Path) -> ServeConfig {
@@ -78,8 +76,9 @@ fn health(stream: &mut TcpStream) -> HealthReply {
 
 #[test]
 fn live_served_fleet_replays_byte_identically() {
-    let dir = scratch("serve-replay");
-    let daemon = Daemon::start(test_config(&dir)).expect("start daemon");
+    let guard = scratch("serve-replay");
+    let dir = guard.path();
+    let daemon = Daemon::start(test_config(dir)).expect("start daemon");
     let addr = daemon.addr();
 
     let mut conn = TcpStream::connect(addr).expect("connect");
@@ -117,13 +116,13 @@ fn live_served_fleet_replays_byte_identically() {
     let live_json = report.stats.to_json();
 
     // Acceptance: replay from the ingress logs alone, byte-identical.
-    let replayed = replay_state_dir(&dir).expect("replay");
+    let replayed = replay_state_dir(dir).expect("replay");
     assert_eq!(replayed.stats.to_json(), live_json, "replay must reproduce the live bytes");
     assert_eq!(replayed.requests_replayed, 19);
 
     // Restart on the same state dir (daemon resume path), serve a bit
     // more, and check replay still matches the grown history.
-    let daemon = Daemon::start(test_config(&dir)).expect("restart daemon");
+    let daemon = Daemon::start(test_config(dir)).expect("restart daemon");
     let mut conn = TcpStream::connect(daemon.addr()).expect("reconnect");
     // Workers recover checkpoint + log asynchronously; poll until the
     // counters reflect the full admitted history (13 benign + 6 attacks).
@@ -139,17 +138,16 @@ fn live_served_fleet_replays_byte_identically() {
     let (_, _) = drive(&mut conn, 300, 4);
     drop(conn);
     let report2 = daemon.stop().expect("stop resumed daemon");
-    let replayed2 = replay_state_dir(&dir).expect("replay grown history");
+    let replayed2 = replay_state_dir(dir).expect("replay grown history");
     assert_eq!(replayed2.stats.to_json(), report2.stats.to_json());
     assert_eq!(replayed2.requests_replayed, 23);
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn replicated_daemon_reports_replica_health_and_replays_identically() {
-    let dir = scratch("serve-replica");
-    let cfg = ServeConfig { replicas: 3, rejuvenate_every: Some(3), ..test_config(&dir) };
+    let guard = scratch("serve-replica");
+    let dir = guard.path();
+    let cfg = ServeConfig { replicas: 3, rejuvenate_every: Some(3), ..test_config(dir) };
     let daemon = Daemon::start(cfg).expect("start replicated daemon");
     let mut conn = TcpStream::connect(daemon.addr()).expect("connect");
 
@@ -168,17 +166,16 @@ fn replicated_daemon_reports_replica_health_and_replays_identically() {
 
     // Replication is invisible to durable history: replay (which knows
     // nothing about replicas) reproduces the live bytes.
-    let replayed = replay_state_dir(&dir).expect("replay");
+    let replayed = replay_state_dir(dir).expect("replay");
     assert_eq!(replayed.stats.to_json(), report.stats.to_json());
     assert_eq!(replayed.requests_replayed, 9);
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn torn_ingress_log_tail_replays_the_valid_prefix() {
-    let dir = scratch("serve-torn");
-    let daemon = Daemon::start(test_config(&dir)).expect("start daemon");
+    let guard = scratch("serve-torn");
+    let dir = guard.path();
+    let daemon = Daemon::start(test_config(dir)).expect("start daemon");
     let mut conn = TcpStream::connect(daemon.addr()).expect("connect");
     let (_, _) = drive(&mut conn, 0, 6);
     drop(conn);
@@ -193,19 +190,18 @@ fn torn_ingress_log_tail_replays_the_valid_prefix() {
     assert!(bytes.len() > 20, "shard 0 must have taken traffic");
     std::fs::write(&log_path, &bytes[..bytes.len() - 7]).expect("tear log");
 
-    let replayed = replay_state_dir(&dir).expect("torn tail must still replay");
+    let replayed = replay_state_dir(dir).expect("torn tail must still replay");
     assert!(replayed.requests_replayed < 6, "the torn record must be dropped");
     assert_eq!(replayed.stats.served + replayed.stats.detections, replayed.requests_replayed);
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn overload_is_rejected_with_typed_frames_not_buffering() {
-    let dir = scratch("serve-overload");
+    let guard = scratch("serve-overload");
+    let dir = guard.path();
     // One shard, tiny queue: serial round-trips can never overload it,
     // so fire a burst without reading responses.
-    let cfg = ServeConfig { shards: 1, queue_depth: 2, ..test_config(&dir) };
+    let cfg = ServeConfig { shards: 1, queue_depth: 2, ..test_config(dir) };
     let daemon = Daemon::start(cfg).expect("start daemon");
     let mut conn = TcpStream::connect(daemon.addr()).expect("connect");
     let burst = 40u64;
@@ -233,9 +229,7 @@ fn overload_is_rejected_with_typed_frames_not_buffering() {
     assert_eq!(report.stats.served + report.stats.detections, answered);
 
     // Rejected requests never reach the log: replay sees only admitted.
-    let replayed = replay_state_dir(&dir).expect("replay");
+    let replayed = replay_state_dir(dir).expect("replay");
     assert_eq!(replayed.requests_replayed, answered);
     assert_eq!(replayed.stats.to_json(), report.stats.to_json());
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

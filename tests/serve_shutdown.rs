@@ -4,15 +4,13 @@
 //! same property the serve daemon gets from its ingress log, here for
 //! `fleetbench`'s schedule-driven executor.
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use indra_fleet::{resume_fleet, run_fleet, FleetConfig};
+use indra_persist::ScratchDir;
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("indra-{}-{}", tag, std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn scratch(tag: &str) -> ScratchDir {
+    ScratchDir::new(tag).expect("scratch dir")
 }
 
 fn shutdown_fleet(dir: &std::path::Path, shutdown: &'static AtomicBool) -> FleetConfig {
@@ -27,14 +25,15 @@ fn shutdown_fleet(dir: &std::path::Path, shutdown: &'static AtomicBool) -> Fleet
 
 #[test]
 fn pre_raised_shutdown_flag_stops_at_the_first_boundary_and_resumes() {
-    let dir = scratch("serve-shutdown-pre");
+    let guard = scratch("serve-shutdown-pre");
+    let dir = guard.path();
     let flag: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(true)));
 
-    let baseline = run_fleet(&FleetConfig { shutdown: None, ..shutdown_fleet(&dir, flag) });
-    let _ = std::fs::remove_dir_all(&dir); // baseline checkpoints discarded
+    let baseline = run_fleet(&FleetConfig { shutdown: None, ..shutdown_fleet(dir, flag) });
+    let _ = std::fs::remove_dir_all(dir); // baseline checkpoints discarded
     let baseline_json = baseline.stats.to_json();
 
-    let interrupted = run_fleet(&shutdown_fleet(&dir, flag));
+    let interrupted = run_fleet(&shutdown_fleet(dir, flag));
     assert!(
         interrupted.stats.per_shard.iter().all(|s| !s.completed),
         "a pre-raised flag must stop every shard before it finishes"
@@ -44,20 +43,19 @@ fn pre_raised_shutdown_flag_stops_at_the_first_boundary_and_resumes() {
     // The flag is a property of this process, never of the store: the
     // resumed run must go to quota and match the uninterrupted bytes.
     flag.store(false, Ordering::SeqCst);
-    let resumed = resume_fleet(&dir).expect("resume after graceful shutdown");
+    let resumed = resume_fleet(dir).expect("resume after graceful shutdown");
     assert!(resumed.stats.per_shard.iter().all(|s| s.completed));
     assert_eq!(resumed.stats.to_json(), baseline_json);
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn mid_run_shutdown_resumes_byte_identically() {
-    let dir = scratch("serve-shutdown-mid");
+    let guard = scratch("serve-shutdown-mid");
+    let dir = guard.path();
     let flag: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
 
-    let baseline = run_fleet(&FleetConfig { shutdown: None, ..shutdown_fleet(&dir, flag) });
-    let _ = std::fs::remove_dir_all(&dir);
+    let baseline = run_fleet(&FleetConfig { shutdown: None, ..shutdown_fleet(dir, flag) });
+    let _ = std::fs::remove_dir_all(dir);
     let baseline_json = baseline.stats.to_json();
 
     // Raise the flag from another thread while the fleet runs. Where
@@ -68,16 +66,14 @@ fn mid_run_shutdown_resumes_byte_identically() {
         std::thread::sleep(std::time::Duration::from_millis(150));
         flag.store(true, Ordering::SeqCst);
     });
-    let interrupted = run_fleet(&shutdown_fleet(&dir, flag));
+    let interrupted = run_fleet(&shutdown_fleet(dir, flag));
     raiser.join().expect("raiser thread");
 
     if interrupted.stats.per_shard.iter().any(|s| !s.completed) {
-        let resumed = resume_fleet(&dir).expect("resume after mid-run shutdown");
+        let resumed = resume_fleet(dir).expect("resume after mid-run shutdown");
         assert_eq!(resumed.stats.to_json(), baseline_json);
     } else {
         // The run outpaced the timer — it must then already match.
         assert_eq!(interrupted.stats.to_json(), baseline_json);
     }
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
