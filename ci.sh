@@ -63,6 +63,24 @@ cmp "$REPLICA_CLEAN" "$REPLICA_STEALTH" || {
   exit 1
 }
 
+echo "== smoke: replica revivals ignore a reused store's old checkpoints"
+# The same stealth run twice on one --store dir: the second pass finds
+# the first pass's checkpoints there, and a revival must restore only a
+# checkpoint its own run wrote. Both passes must match the chaos-free
+# stats byte for byte.
+REPLICA_STORE="$SMOKE_DIR/replica-store"
+for pass in 1 2; do
+  REPLICA_REUSED="$SMOKE_DIR/replica_reused_${pass}_stats.json"
+  timeout 300 ./target/release/fleetbench \
+    --quick --replicas 3 --rejuvenate-every 4 --chaos stealth \
+    --store "$REPLICA_STORE" --chaos-out "$REPLICA_REUSED" \
+    --assert-divergences-min 1
+  cmp "$REPLICA_CLEAN" "$REPLICA_REUSED" || {
+    echo "stealth pass $pass on a reused --store diverged from the chaos-free run" >&2
+    exit 1
+  }
+done
+
 echo "== smoke: replica bench finishes and aggregates across K and cadences"
 # The quick replica sweep drives the group's finish/aggregate path at
 # K = 1/2/3 and three rejuvenation cadences. Every voting row (K = 2

@@ -1,14 +1,14 @@
 //! The one shard engine: a deployed [`IndraSystem`] cell plus the fixed
 //! drive discipline every driver shares.
 //!
-//! The fleet shard, the serve daemon's `ShardRunner` and each replica
-//! cell all build their system here, from an [`EngineConfig`], and all
-//! collapse it into a [`ShardOutput`] through [`ShardEngine::output`].
-//! The closed-loop drivers (serve, replica) also share
-//! [`ShardEngine::deliver`]: deliver one request, run the system to
-//! idle under a fixed slice size and per-request step budget, drain the
-//! responses. The fleet shard keeps its own open-loop arrival loop on
-//! top of [`ShardEngine::system_mut`].
+//! The fleet shard and every replica cell of the closed-loop
+//! `indra_replica::ShardRunner` (which `fleetd` drives too) build their
+//! system here, from an [`EngineConfig`], and both collapse it into a
+//! [`ShardOutput`] through [`ShardEngine::output`]. The closed-loop
+//! runner also uses [`ShardEngine::deliver`]: deliver one request, run
+//! the system to idle under a fixed slice size and per-request step
+//! budget, drain the responses. The fleet shard keeps its own open-loop
+//! arrival loop on top of [`ShardEngine::system_mut`].
 //!
 //! A closed-loop engine's trajectory is a pure function of the ordered
 //! delivered byte sequence plus the [`EngineConfig`] — no sim arrival

@@ -9,6 +9,7 @@
 //! commutative and per-shard summaries are slotted by shard index, so
 //! the final [`FleetStats`] is schedule-independent.
 
+use std::collections::BTreeSet;
 use std::sync::mpsc;
 use std::time::Instant;
 
@@ -140,4 +141,26 @@ pub fn aggregate_stats(outputs: &[ShardOutput], latency: Histogram) -> FleetStat
         latency: latency.summary(),
         per_shard,
     }
+}
+
+/// [`crate::SupervisionStats::availability`]: the share of `scheduled`
+/// requests the fleet disposed of, counting each request at most once —
+/// a distinct request id a shard served or detected as a true attack.
+/// A dormant plant that is served and later caught still counts once,
+/// so the figure stays in `[0, 1]`. Every supervising runner reports
+/// availability through this one function.
+#[must_use]
+pub fn availability(outputs: &[ShardOutput], scheduled: u64) -> f64 {
+    if scheduled == 0 {
+        return 1.0;
+    }
+    let disposed: usize = outputs
+        .iter()
+        .map(|out| {
+            let served = out.report.samples.iter().map(|s| s.request_id);
+            let caught = out.report.detections.iter().filter(|d| d.was_malicious);
+            served.chain(caught.filter_map(|d| d.request_id)).collect::<BTreeSet<u64>>().len()
+        })
+        .sum();
+    disposed as f64 / scheduled as f64
 }

@@ -49,7 +49,7 @@ pub use chaos::{
     plan_for_shard, ChaosConfig, GuestBurst, HostEvent, HostEventKind, ShardChaosPlan, StealthEvent,
 };
 pub use engine::{DeliverOutcome, EngineConfig, ShardEngine};
-pub use executor::{aggregate_stats, run_fleet};
+pub use executor::{aggregate_stats, availability, run_fleet};
 pub use persist::{resume_fleet, RestoredShard, ShardProgress};
 pub use report::{
     FleetReport, FleetStats, ShardHostPerf, ShardSummary, ShardSupervision, SupervisionStats,

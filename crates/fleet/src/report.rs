@@ -291,10 +291,10 @@ impl ShardSupervision {
     }
 }
 
-/// Fleet-wide supervision outcome, produced only by
-/// [`crate::run_fleet_supervised`]. Wall-clock derived (MTTR,
-/// availability under real kills), so it lives in [`FleetReport`],
-/// never in [`FleetStats`].
+/// Fleet-wide supervision outcome, produced by
+/// [`crate::run_fleet_supervised`] and by the replicated fleet runner.
+/// Wall-clock derived (MTTR, availability under real kills), so it
+/// lives in [`FleetReport`], never in [`FleetStats`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SupervisionStats {
     /// Total shard revivals across the fleet.
@@ -313,10 +313,10 @@ pub struct SupervisionStats {
     /// Shards abandoned after exhausting their revival budget.
     pub abandoned_shards: u64,
     /// Requests *disposed of* — served, or neutralized as detected
-    /// attacks — over requests scheduled, in `[0, 1]`. 1.0 means no
-    /// request was lost to quarantine or abandonment; chaos that only
-    /// kills and revives leaves it at 1.0 because revival replays are
-    /// exact.
+    /// attacks, each counted once ([`crate::availability`]) — over
+    /// requests scheduled, in `[0, 1]`. 1.0 means no request was lost
+    /// to quarantine or abandonment; chaos that only kills and revives
+    /// leaves it at 1.0 because revival replays are exact.
     pub availability: f64,
     /// Mean time-to-revive over every revival in the run, in wall
     /// milliseconds (0 when nothing died).
@@ -324,8 +324,9 @@ pub struct SupervisionStats {
     /// Replica-vote divergences detected fleet-wide (0 unless the fleet
     /// ran with `--replicas >= 2`).
     pub divergences: u64,
-    /// Divergent replicas masked and revived from a majority checkpoint
-    /// (K >= 3 only; 2-way groups quarantine instead of masking).
+    /// Out-voted replicas revived through the divergent request onto
+    /// the majority state (K >= 3 only; at K = 2 a split revives both
+    /// replicas and retries instead).
     pub divergent_masked: u64,
     /// Scheduled proactive rejuvenations performed fleet-wide.
     pub rejuvenations: u64,

@@ -47,7 +47,7 @@ use crate::chaos::{
     describe_panic, install_chaos_panic_hook, plan_for_shard, ChaosConfig, ChaosRuntime,
     ShardChaosPlan,
 };
-use crate::executor::aggregate_stats;
+use crate::executor::{aggregate_stats, availability};
 use crate::persist::{decode_progress, encode_meta, RestoredShard};
 use crate::report::{ShardSupervision, SupervisionStats};
 use crate::shard::{
@@ -536,15 +536,7 @@ fn assemble_report(
             .sum(),
         quarantined_requests: per_shard.iter().map(|s| s.quarantined.len() as u64).sum(),
         abandoned_shards: per_shard.iter().filter(|s| s.abandoned).count() as u64,
-        // A request is "disposed" when it was served, or when it was a
-        // detected attack the system neutralized (that *is* the service
-        // working); quarantined and never-delivered requests are not.
-        availability: if scheduled == 0 {
-            1.0
-        } else {
-            let disposed = stats.served + stats.true_detections.min(stats.attacks_sent);
-            disposed as f64 / scheduled as f64
-        },
+        availability: availability(&outputs, scheduled),
         mean_time_to_revive_ms: if all_revivals.is_empty() {
             0.0
         } else {

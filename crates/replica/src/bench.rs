@@ -16,7 +16,7 @@
 use indra_core::json::{json_array, JsonObject};
 use indra_fleet::{ChaosConfig, FleetConfig, FleetReport};
 
-use crate::runner::{run_fleet_replicated, ReplicaOptions};
+use crate::fleet::{run_fleet_replicated, ReplicaOptions};
 
 /// The fleet shape the bench sweeps (kept small: every run is K full
 /// deterministic fleets on a possibly single-CPU host).

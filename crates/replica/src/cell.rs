@@ -1,39 +1,17 @@
 //! One replica: a [`ShardEngine`] plus its digest cache.
 //!
 //! A cell is the unit the voting layer replicates — the very engine a
-//! fleet shard builds (same [`indra_fleet::EngineConfig`], same deployed
-//! image, both pure functions of the [`FleetConfig`] and [`ShardPlan`]),
-//! driven closed-loop one request at a time so the group can vote
-//! between deliveries. Replicas of one group are
-//! built identically and fed the identical admitted stream; any ballot
-//! disagreement is therefore evidence of corruption, not of scheduling.
+//! fleet shard builds from the same [`EngineConfig`], driven
+//! closed-loop one request at a time so the runner can vote between
+//! deliveries. Replicas of one shard are built identically and fed the
+//! identical admitted stream; any ballot disagreement is therefore
+//! evidence of corruption, not of scheduling.
 
-use indra_core::{RecoveryLevel, RunReport, SystemState};
-use indra_fleet::{DeliverOutcome, FleetConfig, ShardEngine, ShardError, ShardPlan};
+use indra_core::{IndraSystem, RunReport, SystemState};
+use indra_fleet::{DeliverOutcome, EngineConfig, ShardEngine, ShardError};
 use indra_mem::{PAGE_SHIFT, PAGE_SIZE};
 
 use crate::digest::{word_fold, DigestCache, StateDigest, FOLD_SEED};
-
-/// Ballot verdict tag: request served.
-pub const TAG_SERVED: u8 = 0;
-/// Ballot verdict tag: attack detected and recovered.
-pub const TAG_DETECTED: u8 = 1;
-/// Ballot verdict tag: request quarantined by the group protocol.
-pub const TAG_QUARANTINED: u8 = 2;
-/// Ballot verdict tag: the cell died (halt, budget, or panic).
-pub const TAG_DEAD: u8 = 255;
-
-/// Collapses a delivery outcome into the `(tag, value)` pair a ballot
-/// carries. Latency cycles are deterministic, so they vote too.
-#[must_use]
-pub fn ballot_key(outcome: DeliverOutcome) -> (u8, u64) {
-    match outcome {
-        DeliverOutcome::Served { cycles } => (TAG_SERVED, cycles),
-        DeliverOutcome::Detected { level: RecoveryLevel::Micro } => (TAG_DETECTED, 0),
-        DeliverOutcome::Detected { level: RecoveryLevel::Macro } => (TAG_DETECTED, 1),
-        DeliverOutcome::Dead => (TAG_DEAD, 0),
-    }
-}
 
 /// One deterministic replica of a logical shard: a [`ShardEngine`] plus
 /// the [`DigestCache`] it votes with.
@@ -44,15 +22,13 @@ pub struct ReplicaCell {
 }
 
 impl ReplicaCell {
-    /// Builds a fresh cell for `plan`: the same engine a fleet shard
-    /// running `plan` builds.
+    /// Builds and deploys a fresh cell.
     ///
     /// # Errors
     ///
     /// [`ShardError::Deploy`] when the service image fails to load.
-    pub fn build(cfg: &FleetConfig, plan: &ShardPlan) -> Result<ReplicaCell, ShardError> {
-        let engine = ShardEngine::new(&cfg.engine(plan.app))?;
-        Ok(ReplicaCell { engine, cache: DigestCache::new() })
+    pub fn new(cfg: &EngineConfig) -> Result<ReplicaCell, ShardError> {
+        Ok(ReplicaCell { engine: ShardEngine::new(cfg)?, cache: DigestCache::new() })
     }
 
     /// Delivers one request and runs the system to idle. Returns the
@@ -117,13 +93,18 @@ impl ReplicaCell {
         true
     }
 
+    /// Mutable access to the cell's simulated system.
+    pub(crate) fn system_mut(&mut self) -> &mut IndraSystem {
+        self.engine.system_mut()
+    }
+
     /// The cell's run report.
     #[must_use]
     pub fn report(&self) -> &RunReport {
         self.engine.system().report()
     }
 
-    /// The cell's engine (what the group collapses into its output).
+    /// The cell's engine (what the runner collapses into its output).
     #[must_use]
     pub fn engine(&self) -> &ShardEngine {
         &self.engine
@@ -132,7 +113,7 @@ impl ReplicaCell {
 
 #[cfg(test)]
 mod tests {
-    use indra_fleet::shard_schedule;
+    use indra_fleet::{shard_schedule, FleetConfig};
 
     use super::*;
 
@@ -147,7 +128,7 @@ mod tests {
         let plan = cfg.plan(0);
         let schedule = shard_schedule(&cfg, &plan);
         assert!(schedule.iter().any(|r| r.malicious), "the stream must carry exploits");
-        let mut cell = ReplicaCell::build(&cfg, &plan).expect("cell");
+        let mut cell = ReplicaCell::new(&cfg.engine(plan.app)).expect("cell");
         let mut saved = None;
         let mut detections = 0;
         for (i, req) in schedule.into_iter().enumerate() {

@@ -17,10 +17,14 @@
 //!   re-hashed only when its write epoch moves).
 //! * [`cell`] — one replica: an [`indra_fleet::ShardEngine`] plus its
 //!   digest cache, driven closed-loop, one request per ballot.
-//! * [`group`] — the voting/revival protocol: majority masks (K ≥ 3),
-//!   2-way detects, retries once and quarantines; plus staggered
-//!   proactive rejuvenation from the durable checkpoint store.
-//! * [`runner`] — the fleet-shaped entry point
+//! * [`runner`] — [`ShardRunner`], the one closed-loop shard runner:
+//!   K ≥ 1 cells over one admitted log, one vote (a live strict
+//!   majority is trusted; anything else revives every cell and retries
+//!   once, then tombstones) and one revival routine (the checkpoint the
+//!   runner itself wrote, then the log tail) shared by death-retry,
+//!   masking, rejuvenation and startup. `fleetd` and its replay drive
+//!   it too.
+//! * [`fleet`] — the fleet-shaped entry point
 //!   ([`run_fleet_replicated`]) whose [`indra_fleet::FleetStats`]
 //!   remain a pure function of the config: stealth corruption at
 //!   K ≥ 2 leaves them byte-identical to an undisturbed run.
@@ -30,11 +34,11 @@
 pub mod bench;
 pub mod cell;
 pub mod digest;
-pub mod group;
+pub mod fleet;
 pub mod runner;
 
 pub use bench::replica_bench_json;
-pub use cell::{ballot_key, ReplicaCell, TAG_DEAD, TAG_DETECTED, TAG_QUARANTINED, TAG_SERVED};
+pub use cell::ReplicaCell;
 pub use digest::{word_fold, word_fold_u64, DigestCache, StateDigest, FOLD_SEED};
-pub use group::{Ballot, GroupCounters, ReplicaGroup};
-pub use runner::{run_fleet_replicated, ReplicaOptions};
+pub use fleet::{run_fleet_replicated, ReplicaOptions};
+pub use runner::{read_cursor, Disposition, GroupCounters, ShardRunner};

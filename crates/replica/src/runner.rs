@@ -1,159 +1,615 @@
-//! The replicated fleet runner: one [`ReplicaGroup`] per shard.
+//! The one shard runner: K ≥ 1 replica cells over one admitted log,
+//! one vote and one revival routine.
 //!
-//! Mirrors [`indra_fleet::run_fleet`]'s aggregation exactly — leader
-//! outputs fold through [`indra_fleet::aggregate_stats`] in shard
-//! order — so [`indra_fleet::FleetStats`] keeps its determinism
-//! contract: for K ≥ 2 a stealth-corrupted run's stats are
-//! byte-identical to an undisturbed run's, because every corrupted
-//! replica is revived onto the majority trajectory before it can steer
-//! the group. Replication/rejuvenation counters are wall-clock-ish
-//! host observations and live in [`SupervisionStats`] on the outer
-//! [`FleetReport`], never inside `stats`.
+//! Every closed-loop caller — the `fleetd` shard worker, its offline
+//! replay and the replicated fleet ([`crate::run_fleet_replicated`]) —
+//! drives a [`ShardRunner`]. Its trajectory is a pure function of the
+//! [`EngineConfig`] and the ordered admitted log: admit one request, or
+//! quarantine a seq. Replay applies logged tombstones at the same
+//! positional point, so live and replayed trajectories stay identical
+//! even through deaths, and every cell of one runner sees the same
+//! operation sequence, so honest cells always agree.
+//!
+//! One policy decides each request:
+//!
+//! * **Deliver.** Every cell gets the request — followers on scoped
+//!   threads, the primary (`cells[0]`) on the caller's — and returns a
+//!   [`Ballot`]. At K = 1 there is no digest and no thread.
+//! * **Trusted.** A strict majority of ballots agrees on a live outcome:
+//!   at K = 1 the cell did not die, at K = 2 both agree, at K ≥ 3 the
+//!   majority masks any faulty cell, the primary included. Out-voted
+//!   cells are revived *through* the request onto the majority's state.
+//! * **Untrusted.** Anything else: a death at K = 1, a K = 2 split, no
+//!   majority, a dead majority. Every cell is revived to just before the
+//!   request and the request is retried once; a second failure
+//!   tombstones it (the caller makes the tombstone durable in its log).
+//! * **Revive.** Restore the latest checkpoint this runner wrote through
+//!   [`ShardRunner::checkpoint`] or recovered from at start — never
+//!   whatever a store directory happens to hold — or build a fresh cell
+//!   when there is none, then replay the admitted tail, honouring
+//!   tombstones. Death-retry, masking, the K = 2 retry and rejuvenation
+//!   all revive through this one routine.
+//! * **Rejuvenate.** Every `N` admitted requests, staggered: cell `r` of
+//!   `K` is revived when `(cursor + r·N/K) % N == 0`, so at most one
+//!   cell per boundary is down and the runner keeps its quorum.
 
-use std::path::PathBuf;
-use std::sync::mpsc;
+use std::collections::BTreeSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use indra_bench::Histogram;
-use indra_fleet::{
-    aggregate_stats, plan_for_shard, ChaosConfig, FleetConfig, FleetReport, ShardOutput,
-    ShardSupervision, SupervisionStats,
+use indra_core::{IndraSystem, RecoveryLevel, RunReport, SystemState};
+use indra_fleet::{DeliverOutcome, EngineConfig, ShardError, ShardOutput, ShardPlan};
+use indra_persist::{
+    CheckpointReceipt, IngressKind, IngressRecord, PersistError, ShardCheckpointWriter, WireReader,
+    WireWriter,
 };
-use indra_persist::{ScratchDir, SnapshotStore};
+use indra_rng::derive_seed;
 
-use crate::group::{GroupCounters, ReplicaGroup};
+use crate::cell::ReplicaCell;
 
-/// Replication knobs layered on top of a [`FleetConfig`].
-#[derive(Debug, Clone)]
-pub struct ReplicaOptions {
-    /// Replicas per shard (K). 1 disables voting (baseline), 2
-    /// detects-and-quarantines, 3 masks via majority.
-    pub replicas: usize,
-    /// Proactively rejuvenate each replica every N admitted requests
-    /// (staggered across the group); `None` disables.
-    pub rejuvenate_every: Option<u64>,
-    /// Chaos plan source — only the `stealth` leg is consumed here; the
-    /// host-level legs (kills, stalls, tears) belong to the supervisor.
-    pub chaos: ChaosConfig,
+/// What one guarded delivery produced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Disposition {
+    /// Response produced.
+    Served {
+        /// Delivery-to-response resurrectee cycles.
+        cycles: u64,
+    },
+    /// A recovery episode fired on this request.
+    Detected {
+        /// Micro (per-request rollback) or macro recovery.
+        level: RecoveryLevel,
+    },
+    /// The request failed the vote twice and was quarantined.
+    Quarantined,
 }
 
-impl Default for ReplicaOptions {
-    fn default() -> ReplicaOptions {
-        ReplicaOptions { replicas: 3, rejuvenate_every: None, chaos: ChaosConfig::off() }
-    }
+/// What one cell submits to the vote for one request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Ballot {
+    /// The delivery's outcome. Latency cycles are deterministic, so
+    /// they vote too.
+    outcome: DeliverOutcome,
+    /// [`word_fold`](crate::word_fold) digest over the drained response
+    /// bytes.
+    output_hash: u64,
+    /// Whole-state digest after the delivery (0 at K = 1 and for a dead
+    /// cell).
+    digest: u64,
 }
 
-/// Runs the fleet with K replicas per shard and per-request divergence
-/// voting. Returns the standard [`FleetReport`] with `supervision`
-/// populated (divergence/rejuvenation counters, availability).
+/// The ballot of a cell that panicked.
+const DEAD: Ballot = Ballot { outcome: DeliverOutcome::Dead, output_hash: 0, digest: 0 };
+
+/// Replication counters: host-side observations surfaced in
+/// [`indra_fleet::SupervisionStats`] and `HEALTH`, never in the
+/// deterministic stats.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GroupCounters {
+    /// Requests on which any ballot disagreed.
+    pub divergences: u64,
+    /// Out-voted cells revived through the request.
+    pub divergent_masked: u64,
+    /// Scheduled proactive rejuvenations performed.
+    pub rejuvenations: u64,
+    /// Untrusted deliveries; each revived every cell.
+    pub revivals: u64,
+    /// Total wall milliseconds spent reviving cells.
+    pub revive_wall_ms: f64,
+    /// Cell revivals behind `revive_wall_ms`.
+    pub revive_events: u64,
+}
+
+/// The ballot a strict majority holds, if it is live — the one rule
+/// that makes a delivery trusted at every K.
+fn vote(ballots: &[Ballot]) -> Option<Ballot> {
+    ballots.iter().copied().find(|b| {
+        b.outcome != DeliverOutcome::Dead
+            && ballots.iter().filter(|o| *o == b).count() * 2 > ballots.len()
+    })
+}
+
+/// The progress blob a runner checkpoint carries: its cursor.
+fn cursor_blob(cursor: u64) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.u64(cursor);
+    w.finish()
+}
+
+/// Reads the cursor back out of a runner checkpoint's progress blob.
 ///
 /// # Errors
 ///
-/// Returns a message when the checkpoint store cannot be created or a
-/// group's persistence fails.
-///
-/// # Panics
-///
-/// Panics if `opts.replicas == 0` or a shard worker thread dies outside
-/// the group's own panic containment.
-pub fn run_fleet_replicated(
-    cfg: &FleetConfig,
-    opts: &ReplicaOptions,
-) -> Result<FleetReport, String> {
-    assert!(opts.replicas >= 1, "--replicas must be at least 1");
-    let started = Instant::now();
+/// Typed [`PersistError`] when the blob is not exactly one cursor.
+pub fn read_cursor(progress: &[u8]) -> Result<u64, PersistError> {
+    let mut r = WireReader::new(progress);
+    let cursor = r.u64("serve progress cursor")?;
+    r.expect_exhausted("serve progress trailing bytes")?;
+    Ok(cursor)
+}
 
-    // Groups need durable checkpoints for revival; default a cadence
-    // when the config doesn't set one, and a scratch store when the
-    // config names no directory. The scratch guard lives to the end of
-    // the run and removes the store on every return path.
-    let checkpoint_every = if cfg.checkpoint_every > 0 { cfg.checkpoint_every } else { 4 };
-    let (store_dir, _scratch) = match &cfg.store_dir {
-        Some(dir) => (PathBuf::from(dir), None),
-        None => {
-            let scratch = ScratchDir::new("replica").map_err(|e| format!("scratch store: {e}"))?;
-            (scratch.path().to_path_buf(), Some(scratch))
-        }
-    };
+/// Drives one shard's K cells through its admitted-request history,
+/// live or replayed, under the vote and revival policy above.
+#[derive(Debug)]
+pub struct ShardRunner {
+    cfg: EngineConfig,
+    shard: usize,
+    /// `cells[0]` is the primary: its report is the shard's output.
+    cells: Vec<ReplicaCell>,
+    /// Request records in seq order (`requests[i].seq == i`).
+    requests: Vec<IngressRecord>,
+    tombstones: BTreeSet<u64>,
+    /// Requests with `seq < cursor` are already part of every cell's
+    /// history.
+    cursor: u64,
+    rejuvenate_every: Option<u64>,
+    /// The only checkpoint a revival trusts, and the cursor it was
+    /// taken at.
+    base: Option<(SystemState, u64)>,
+    /// Vote and revival counters.
+    pub counters: GroupCounters,
+    /// WAL-delta volume this shard's checkpoints wrote. Host-side
+    /// observation: it flows to [`ShardOutput::wal`], never into the
+    /// deterministic stats.
+    pub wal: CheckpointReceipt,
+}
 
-    let (tx, rx) = mpsc::channel::<Result<(ShardOutput, GroupCounters), String>>();
-    std::thread::scope(|scope| {
-        for shard in 0..cfg.shards {
-            let tx = tx.clone();
-            let store_dir = store_dir.clone();
-            scope.spawn(move || {
-                let run = || -> Result<(ShardOutput, GroupCounters), String> {
-                    let store = SnapshotStore::create(&store_dir)
-                        .map_err(|e| format!("shard {shard}: store: {e}"))?;
-                    let plan = cfg.plan(shard);
-                    let stealth = plan_for_shard(&opts.chaos, cfg, shard).stealth;
-                    let mut group = ReplicaGroup::new(
-                        cfg,
-                        plan,
-                        opts.replicas,
-                        checkpoint_every,
-                        opts.rejuvenate_every,
-                        store,
-                        stealth,
-                    )
-                    .map_err(|e| format!("shard {shard}: {e}"))?;
-                    let completed = group.run().map_err(|e| format!("shard {shard}: {e}"))?;
-                    Ok(group.finish(completed))
-                };
-                tx.send(run()).expect("aggregator outlives shard workers");
-            });
-        }
-        drop(tx);
-    });
-
-    let mut rows: Vec<(ShardOutput, GroupCounters)> = Vec::with_capacity(cfg.shards);
-    for msg in rx {
-        rows.push(msg?);
+impl ShardRunner {
+    /// A fresh single-cell runner with no history.
+    ///
+    /// # Errors
+    ///
+    /// [`ShardError::Deploy`] when the service image fails to load.
+    pub fn new(cfg: EngineConfig, shard: usize) -> Result<ShardRunner, ShardError> {
+        Ok(ShardRunner::replicated(cfg, shard, 1, None, Vec::new(), None)?.0)
     }
-    rows.sort_by_key(|(out, _)| out.plan.shard);
-    let (outputs, counters): (Vec<ShardOutput>, Vec<GroupCounters>) = rows.into_iter().unzip();
 
-    let mut latency = Histogram::new();
-    for out in &outputs {
+    /// A single-cell runner rebuilt from a parsed ingress log; see
+    /// [`ShardRunner::replicated`].
+    ///
+    /// # Errors
+    ///
+    /// As [`ShardRunner::replicated`].
+    pub fn from_log(
+        cfg: EngineConfig,
+        shard: usize,
+        records: Vec<IngressRecord>,
+        checkpoint: Option<(SystemState, u64)>,
+    ) -> Result<(ShardRunner, Vec<u64>), ShardError> {
+        ShardRunner::replicated(cfg, shard, 1, None, records, checkpoint)
+    }
+
+    /// A runner of `replicas` cells rebuilt from a parsed ingress log,
+    /// optionally starting every cell from one checkpoint (`state` + the
+    /// cursor it was taken at) instead of from genesis. A checkpoint
+    /// whose cursor lies past the log's end cannot be a state this log
+    /// reduces to, and is not used. The log tail runs through the
+    /// ordinary vote, so an entry that deterministically kills the
+    /// engine is quarantined exactly as it would have been live; the
+    /// newly created tombstone seqs are returned so a live caller can
+    /// append them to the log (offline replay ignores them — the log is
+    /// read-only there). `rejuvenate_every` sets the cadence of
+    /// proactive rejuvenation for requests admitted later.
+    ///
+    /// # Errors
+    ///
+    /// [`ShardError`] from cell construction, or a corrupt log whose
+    /// request seqs are not dense.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `replicas == 0`.
+    pub fn replicated(
+        cfg: EngineConfig,
+        shard: usize,
+        replicas: usize,
+        rejuvenate_every: Option<u64>,
+        records: Vec<IngressRecord>,
+        checkpoint: Option<(SystemState, u64)>,
+    ) -> Result<(ShardRunner, Vec<u64>), ShardError> {
+        assert!(replicas >= 1, "a shard runner needs at least one cell");
+        let mut requests = Vec::new();
+        let mut tombstones = BTreeSet::new();
+        for rec in records {
+            match rec.kind {
+                IngressKind::Request => {
+                    if rec.seq != requests.len() as u64 {
+                        return Err(ShardError::Persist(PersistError::Corrupt {
+                            context: "ingress log seqs are not dense",
+                        }));
+                    }
+                    requests.push(rec);
+                }
+                IngressKind::Quarantine => {
+                    tombstones.insert(rec.seq);
+                }
+            }
+        }
+        let base = checkpoint.filter(|(_, cursor)| *cursor <= requests.len() as u64);
+        let mut cells = Vec::with_capacity(replicas);
+        for _ in 0..replicas {
+            let mut cell = ReplicaCell::new(&cfg)?;
+            if let Some((state, _)) = &base {
+                cell.restore(state);
+            }
+            cells.push(cell);
+        }
+        let mut runner = ShardRunner {
+            cursor: base.as_ref().map_or(0, |(_, cursor)| *cursor),
+            cfg,
+            shard,
+            cells,
+            requests,
+            tombstones,
+            rejuvenate_every,
+            base,
+            counters: GroupCounters::default(),
+            wal: CheckpointReceipt::default(),
+        };
+        let mut fresh = Vec::new();
+        while runner.cursor < runner.requests.len() as u64 {
+            fresh.extend(runner.process_next().1);
+        }
+        Ok((runner, fresh))
+    }
+
+    /// The next admission seq this runner will assign.
+    #[must_use]
+    pub fn next_seq(&self) -> u64 {
+        self.requests.len() as u64
+    }
+
+    /// Mutable access to the primary's simulated system.
+    pub fn system_mut(&mut self) -> &mut IndraSystem {
+        self.cells[0].system_mut()
+    }
+
+    /// The cells, primary first — for fault injection.
+    pub(crate) fn cells_mut(&mut self) -> &mut [ReplicaCell] {
+        &mut self.cells
+    }
+
+    /// Admits one already-logged request record, decides it under the
+    /// vote, then fires any rejuvenation due at the new cursor. Returns
+    /// its disposition plus any tombstone seq newly created (at most
+    /// one — this request's own, if it failed the vote twice).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `rec` is not the next dense request seq — the caller
+    /// logs before admitting, so a gap is a harness bug.
+    pub fn admit(&mut self, rec: IngressRecord) -> (Disposition, Vec<u64>) {
+        assert_eq!(rec.kind, IngressKind::Request, "admit takes request records");
+        assert_eq!(rec.seq, self.next_seq(), "admission seqs must be dense");
+        self.requests.push(rec);
+        let decided = self.process_next();
+        if let Some(n) = self.rejuvenate_every {
+            let k = self.cells.len() as u64;
+            for r in 0..self.cells.len() {
+                if (self.cursor + r as u64 * n / k).is_multiple_of(n) {
+                    self.revive(r, self.cursor);
+                    self.counters.rejuvenations += 1;
+                }
+            }
+        }
+        decided
+    }
+
+    /// Processes the request at `cursor`: a logged tombstone is honoured,
+    /// anything else is decided by the vote.
+    fn process_next(&mut self) -> (Disposition, Vec<u64>) {
+        let seq = self.cursor;
+        let mut fresh = Vec::new();
+        let disposition = if self.tombstones.contains(&seq) {
+            Disposition::Quarantined
+        } else {
+            self.decide(seq).unwrap_or_else(|| {
+                fresh.push(seq);
+                Disposition::Quarantined
+            })
+        };
+        if disposition == Disposition::Quarantined {
+            for cell in &mut self.cells {
+                cell.quarantine(seq);
+            }
+        }
+        self.cursor += 1;
+        (disposition, fresh)
+    }
+
+    /// Delivers `seq` to every cell and votes, retrying once when the
+    /// result is untrusted. `None` means it was untrusted twice: every
+    /// cell is back to just before `seq`, which is now tombstoned.
+    fn decide(&mut self, seq: u64) -> Option<Disposition> {
+        let mut diverged = false;
+        for _ in 0..2 {
+            let ballots = self.deliver_all(seq);
+            if !diverged && ballots.iter().any(|b| *b != ballots[0]) {
+                diverged = true;
+                self.counters.divergences += 1;
+            }
+            if let Some(winner) = vote(&ballots) {
+                for (r, ballot) in ballots.iter().enumerate() {
+                    if *ballot != winner {
+                        self.revive(r, seq + 1);
+                        self.counters.divergent_masked += 1;
+                        debug_assert_eq!(
+                            self.cells[r].digest().value,
+                            winner.digest,
+                            "a revived cell must land on the majority state"
+                        );
+                    }
+                }
+                return Some(match winner.outcome {
+                    DeliverOutcome::Served { cycles } => Disposition::Served { cycles },
+                    DeliverOutcome::Detected { level } => Disposition::Detected { level },
+                    DeliverOutcome::Dead => unreachable!("the vote never trusts a dead ballot"),
+                });
+            }
+            self.counters.revivals += 1;
+            for r in 0..self.cells.len() {
+                self.revive(r, seq);
+            }
+        }
+        self.tombstones.insert(seq);
+        None
+    }
+
+    /// One guarded delivery of `requests[seq]` on every cell. A cell
+    /// that panics votes dead.
+    fn deliver_all(&mut self, seq: u64) -> Vec<Ballot> {
+        let rec = &self.requests[usize::try_from(seq).expect("seq fits")];
+        let digest = self.cells.len() > 1;
+        let ballot = &|cell: &mut ReplicaCell| {
+            catch_unwind(AssertUnwindSafe(|| {
+                let (outcome, output_hash) = cell.deliver(rec.data.clone(), rec.malicious);
+                let digest =
+                    if digest && outcome != DeliverOutcome::Dead { cell.digest().value } else { 0 };
+                Ballot { outcome, output_hash, digest }
+            }))
+            .unwrap_or(DEAD)
+        };
+        let (primary, followers) = self.cells.split_first_mut().expect("at least one cell");
+        std::thread::scope(|scope| {
+            let workers: Vec<_> =
+                followers.iter_mut().map(|cell| scope.spawn(move || ballot(cell))).collect();
+            let mut ballots = vec![ballot(primary)];
+            ballots.extend(
+                workers.into_iter().map(|w| w.join().expect("a cell's panic is caught in it")),
+            );
+            ballots
+        })
+    }
+
+    /// The one revival routine: cell `r` ends up holding the state after
+    /// the first `upto` requests — the trusted checkpoint (or a fresh
+    /// cell), then the admitted tail replayed, honouring tombstones.
+    /// Unguarded: every replayed entry already succeeded on an identical
+    /// trajectory.
+    fn revive(&mut self, r: usize, upto: u64) {
+        let t0 = Instant::now();
+        let from = match &self.base {
+            Some((state, cursor)) if *cursor <= upto => {
+                self.cells[r].restore(state);
+                *cursor
+            }
+            _ => {
+                self.cells[r] =
+                    ReplicaCell::new(&self.cfg).expect("a cell rebuilds from its first config");
+                0
+            }
+        };
+        let cell = &mut self.cells[r];
+        for seq in from..upto {
+            if self.tombstones.contains(&seq) {
+                cell.quarantine(seq);
+            } else {
+                let rec = &self.requests[usize::try_from(seq).expect("seq fits")];
+                let _ = cell.deliver(rec.data.clone(), rec.malicious);
+            }
+        }
+        self.counters.revive_events += 1;
+        self.counters.revive_wall_ms += t0.elapsed().as_secs_f64() * 1e3;
+    }
+
+    /// The primary's run report (for live counters).
+    #[must_use]
+    pub fn report(&self) -> &RunReport {
+        self.cells[0].report()
+    }
+
+    /// Quarantined request count so far.
+    #[must_use]
+    pub fn quarantined(&self) -> u64 {
+        self.tombstones.len() as u64
+    }
+
+    /// Freezes the primary's state, paired with the cursor it was taken
+    /// at.
+    #[must_use]
+    pub fn freeze(&self) -> (SystemState, u64) {
+        (self.cells[0].freeze(), self.cursor)
+    }
+
+    /// Durably checkpoints the primary through `writer`, the cursor as
+    /// the progress blob (read back with [`read_cursor`]), and makes that
+    /// checkpoint the one every later revival restores.
+    ///
+    /// # Errors
+    ///
+    /// The writer's I/O failure; the previous trusted checkpoint stays.
+    pub fn checkpoint(&mut self, writer: &mut ShardCheckpointWriter) -> Result<(), PersistError> {
+        let (state, cursor) = self.freeze();
+        self.wal.absorb(writer.checkpoint(&state, &cursor_blob(cursor))?);
+        self.base = Some((state, cursor));
+        Ok(())
+    }
+
+    /// Collapses the runner into the primary's [`ShardOutput`].
+    /// `benign_sent`/`attacks_sent` count every admitted request
+    /// (quarantined ones included — they were sent).
+    #[must_use]
+    pub fn finish(self, completed: bool) -> ShardOutput {
+        let plan = ShardPlan {
+            shard: self.shard,
+            app: self.cfg.app,
+            seed: derive_seed(self.cfg.seed, self.shard as u64),
+        };
+        let malicious = self.requests.iter().map(|r| r.malicious);
+        let mut output = self.cells[0].engine().output(plan, malicious, completed);
+        output.wal = self.wal;
+        output
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use indra_bench::Histogram;
+    use indra_fleet::aggregate_stats;
+    use indra_persist::{ScratchDir, SnapshotStore};
+    use indra_workloads::{benign_request, build_app_scaled, detectable_attack_suite};
+
+    fn quick_cfg() -> EngineConfig {
+        EngineConfig { scale: 60, ..EngineConfig::default() }
+    }
+
+    fn req(seq: u64, malicious: bool, data: Vec<u8>) -> IngressRecord {
+        IngressRecord { seq, kind: IngressKind::Request, request_id: seq, malicious, data }
+    }
+
+    #[test]
+    fn live_and_replayed_runners_agree_byte_for_byte() {
+        let cfg = quick_cfg();
+        let image = build_app_scaled(cfg.app, cfg.scale);
+        let attacks = detectable_attack_suite(&image);
+        let mut records = Vec::new();
+        for seq in 0..6u64 {
+            let malicious = seq == 2;
+            let data = if malicious {
+                indra_workloads::attack_request(attacks[0], &image)
+            } else {
+                benign_request(seq as u8, 0x20 + seq as u8)
+            };
+            records.push(req(seq, malicious, data));
+        }
+
+        // Live path: admit one by one.
+        let mut live = ShardRunner::new(cfg.clone(), 0).unwrap();
+        for rec in &records {
+            let (_disp, tombs) = live.admit(rec.clone());
+            assert!(tombs.is_empty(), "benign+detectable traffic must not quarantine");
+        }
+        let live_out = live.finish(true);
+
+        // Replay path: whole log at once.
+        let (replayed, fresh) = ShardRunner::from_log(cfg, 0, records, None).unwrap();
+        assert!(fresh.is_empty());
+        let replay_out = replayed.finish(true);
+
+        assert_eq!(live_out.summary().to_json(), replay_out.summary().to_json());
+        assert_eq!(live_out.report.samples, replay_out.report.samples);
+        assert_eq!(live_out.sim_cycles, replay_out.sim_cycles);
+    }
+
+    #[test]
+    fn checkpoint_resume_matches_straight_replay() {
+        let cfg = quick_cfg();
+        let records: Vec<IngressRecord> =
+            (0..5u64).map(|s| req(s, false, benign_request(s as u8, 0x11))).collect();
+
+        // Straight replay.
+        let (straight, _) = ShardRunner::from_log(cfg.clone(), 1, records.clone(), None).unwrap();
+        let straight_out = straight.finish(true);
+
+        // Run half live, freeze, then resume from the checkpoint.
+        let mut half = ShardRunner::new(cfg.clone(), 1).unwrap();
+        for rec in &records[..3] {
+            half.admit(rec.clone());
+        }
+        let (state, cursor) = half.freeze();
+        assert_eq!(cursor, 3);
+        let (resumed, _) = ShardRunner::from_log(cfg, 1, records, Some((state, cursor))).unwrap();
+        let resumed_out = resumed.finish(true);
+
+        assert_eq!(straight_out.summary().to_json(), resumed_out.summary().to_json());
+        assert_eq!(straight_out.report.samples, resumed_out.report.samples);
+    }
+
+    #[test]
+    fn tombstoned_seq_is_skipped_and_counted() {
+        let cfg = quick_cfg();
+        let mut records: Vec<IngressRecord> =
+            (0..3u64).map(|s| req(s, false, benign_request(s as u8, 0x22))).collect();
+        records.push(IngressRecord {
+            seq: 1,
+            kind: IngressKind::Quarantine,
+            request_id: 0,
+            malicious: false,
+            data: Vec::new(),
+        });
+        let (runner, fresh) = ShardRunner::from_log(cfg, 0, records, None).unwrap();
+        assert!(fresh.is_empty());
+        assert_eq!(runner.quarantined(), 1);
+        let out = runner.finish(true);
+        assert_eq!(out.report.served, 2);
+        assert_eq!(out.report.quarantined, vec![1]);
+        assert_eq!(out.benign_sent, 3, "quarantined requests still count as sent");
+    }
+
+    fn stats_json(out: &ShardOutput) -> String {
+        let mut latency = Histogram::new();
         for s in &out.report.samples {
             latency.record(s.cycles);
         }
+        aggregate_stats(std::slice::from_ref(out), latency).to_json()
     }
-    let stats = aggregate_stats(&outputs, latency);
-    let shard_host = outputs.iter().map(ShardOutput::host_perf).collect();
 
-    let mut sup = SupervisionStats {
-        per_shard: Vec::with_capacity(outputs.len()),
-        ..SupervisionStats::default()
-    };
-    let mut revive_ms = 0.0;
-    let mut revive_events = 0u64;
-    let mut disposed = 0u64;
-    let mut scheduled = 0u64;
-    for (out, counters) in outputs.iter().zip(&counters) {
-        sup.divergences += counters.divergences;
-        sup.divergent_masked += counters.divergent_masked;
-        sup.rejuvenations += counters.rejuvenations;
-        sup.quarantined_requests += counters.quarantined;
-        revive_ms += counters.revive_wall_ms;
-        revive_events += counters.revive_events;
-        disposed += out.report.served + out.report.detections.len() as u64;
-        scheduled += out.benign_sent + out.attacks_sent;
-        sup.per_shard.push(ShardSupervision {
-            shard: out.plan.shard,
-            quarantined: out.report.quarantined.clone(),
-            divergences: u32::try_from(counters.divergences).unwrap_or(u32::MAX),
-            divergent_masked: u32::try_from(counters.divergent_masked).unwrap_or(u32::MAX),
-            rejuvenations: u32::try_from(counters.rejuvenations).unwrap_or(u32::MAX),
-            ..ShardSupervision::default()
-        });
+    #[test]
+    fn k3_outvotes_a_struck_primary_and_finishes_like_an_unstruck_k1() {
+        let cfg = quick_cfg();
+        let records: Vec<IngressRecord> =
+            (0..6u64).map(|s| req(s, false, benign_request(s as u8, 0x33))).collect();
+        let (clean, _) = ShardRunner::from_log(cfg.clone(), 0, records.clone(), None).unwrap();
+
+        let guard = ScratchDir::new("runner-k3").unwrap();
+        let mut writer = SnapshotStore::create(guard.path()).unwrap().shard_writer(0).unwrap();
+        let (mut struck, _) = ShardRunner::replicated(cfg, 0, 3, None, Vec::new(), None).unwrap();
+        for rec in records {
+            if rec.seq == 3 {
+                assert!(struck.cells_mut()[0].corrupt_bit(7919, 104_729, 5), "no frame to strike");
+            }
+            struck.admit(rec);
+            // A checkpoint after seq 1, so the masking revival restores
+            // it and replays only the tail.
+            if struck.next_seq() == 2 {
+                struck.checkpoint(&mut writer).unwrap();
+            }
+        }
+        assert_eq!(struck.counters.divergences, 1, "the struck primary must split the vote");
+        assert_eq!(struck.counters.divergent_masked, 1, "the two followers out-vote it");
+        assert_eq!(struck.counters.revivals, 0, "a majority is trusted without a retry");
+        assert_eq!(stats_json(&clean.finish(true)), stats_json(&struck.finish(true)));
     }
-    sup.availability = if scheduled == 0 { 1.0 } else { disposed as f64 / scheduled as f64 };
-    sup.mean_time_to_revive_ms =
-        if revive_events == 0 { 0.0 } else { revive_ms / revive_events as f64 };
 
-    let wall_seconds = started.elapsed().as_secs_f64();
-    let wall_req_per_sec =
-        if wall_seconds > 0.0 { stats.served as f64 / wall_seconds } else { 0.0 };
-    Ok(FleetReport { stats, wall_seconds, wall_req_per_sec, shard_host, supervision: Some(sup) })
+    #[test]
+    fn k2_split_revives_both_cells_and_retries_once() {
+        let cfg = quick_cfg();
+        let records: Vec<IngressRecord> =
+            (0..4u64).map(|s| req(s, false, benign_request(s as u8, 0x44))).collect();
+        let (clean, _) = ShardRunner::from_log(cfg.clone(), 0, records.clone(), None).unwrap();
+        let (mut struck, _) = ShardRunner::replicated(cfg, 0, 2, None, Vec::new(), None).unwrap();
+        for rec in records {
+            if rec.seq == 2 {
+                assert!(struck.cells_mut()[1].corrupt_bit(31, 4099, 1), "no frame to strike");
+            }
+            let (disposition, tombstones) = struck.admit(rec);
+            assert!(matches!(disposition, Disposition::Served { .. }), "{disposition:?}");
+            assert!(tombstones.is_empty(), "the retry on revived cells must agree");
+        }
+        assert_eq!(struck.counters.divergences, 1);
+        assert_eq!(struck.counters.divergent_masked, 0, "two cells cannot out-vote each other");
+        assert_eq!(struck.counters.revivals, 1, "one untrusted delivery, one retry");
+        assert_eq!(stats_json(&clean.finish(true)), stats_json(&struck.finish(true)));
+    }
 }

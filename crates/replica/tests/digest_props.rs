@@ -24,8 +24,8 @@ fn same_seed_same_stream_means_identical_digests() {
     let cfg = tiny();
     let plan = cfg.plan(0);
     let schedule = shard_schedule(&cfg, &plan);
-    let mut a = ReplicaCell::build(&cfg, &plan).expect("cell a");
-    let mut b = ReplicaCell::build(&cfg, &plan).expect("cell b");
+    let mut a = ReplicaCell::new(&cfg.engine(plan.app)).expect("cell a");
+    let mut b = ReplicaCell::new(&cfg.engine(plan.app)).expect("cell b");
     assert_eq!(a.digest(), b.digest(), "fresh cells must digest alike");
     for (i, req) in schedule.into_iter().enumerate() {
         let va = a.deliver(req.data.clone(), req.malicious);
@@ -42,7 +42,7 @@ fn any_single_byte_section_corruption_changes_the_digest() {
     let cfg = tiny();
     let plan = cfg.plan(0);
     let schedule = shard_schedule(&cfg, &plan);
-    let mut cell = ReplicaCell::build(&cfg, &plan).expect("cell");
+    let mut cell = ReplicaCell::new(&cfg.engine(plan.app)).expect("cell");
     for req in schedule.into_iter().take(2) {
         let _ = cell.deliver(req.data, req.malicious);
     }
@@ -77,7 +77,7 @@ fn any_resident_frame_bit_flip_changes_the_digest() {
     let cfg = tiny();
     let plan = cfg.plan(0);
     forall("replica.phys_corruption", 12, |rng| {
-        let mut cell = ReplicaCell::build(&cfg, &plan).expect("cell");
+        let mut cell = ReplicaCell::new(&cfg.engine(plan.app)).expect("cell");
         let schedule = shard_schedule(&cfg, &plan);
         for req in schedule.into_iter().take(1) {
             let _ = cell.deliver(req.data, req.malicious);

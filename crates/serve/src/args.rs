@@ -48,13 +48,16 @@ on detection). Attack-free stats are byte-identical either way; under
 attack, compartments retry benign requests instead of losing them.
 Persisted to `serve.meta` like the other sim knobs.
 
-Replication: --replicas K (1-3, default 1) shadows every shard's
-authoritative primary with K-1 voting followers fed the identical
-admitted stream; a follower whose (disposition, state digest) diverges
-is masked and rebuilt from the durable checkpoint + ingress history.
---rejuvenate-every N proactively rebuilds one follower per shard every
-N admitted requests, round-robin. HEALTH reports the divergence and
-rejuvenation counters. Replay output is byte-identical whatever K is.
+Replication: --replicas K (1-3, default 1) runs K replicas of every
+shard on the identical admitted stream and votes on (outcome, output
+hash, state digest) after each request. K=3 out-votes and revives any
+faulty replica, the primary included; K=2 revives both and retries; a
+request that fails the vote twice is tombstoned. --rejuvenate-every N
+revives each replica from the shard's checkpoint + ingress tail once
+every N admitted requests, staggered across the K replicas (replica r
+fires when (cursor + r*N/K) % N == 0; at K=1 the lone replica too).
+HEALTH reports the divergence and rejuvenation counters. Replay output
+is byte-identical whatever K is.
 
 Serving: binds 127.0.0.1:<port> (0 = ephemeral; the chosen address is
 printed as `fleetd listening on ADDR`), spawns one worker per shard and

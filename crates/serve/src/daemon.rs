@@ -36,17 +36,14 @@ use indra_bench::Histogram;
 use indra_core::RecoveryLevel;
 use indra_fleet::{aggregate_stats, FleetStats, ShardError, ShardOutput};
 use indra_persist::{
-    IngressKind, IngressRecord, IngressWriter, PersistError, SnapshotStore, WireReader, WireWriter,
-    INGRESS_FILE,
+    IngressKind, IngressRecord, IngressWriter, PersistError, SnapshotStore, INGRESS_FILE,
 };
-use indra_replica::DigestCache;
+use indra_replica::read_cursor;
 
-use crate::engine::{
-    decode_engine_meta, encode_engine_meta, Disposition, EngineConfig, ShardRunner,
-};
 use crate::proto::{
     encode_frame, read_frame, Frame, FrameError, HealthReply, RejectReason, Verdict,
 };
+use crate::{decode_engine_meta, encode_engine_meta, Disposition, EngineConfig, ShardRunner};
 
 /// Host-side daemon configuration (everything that does *not* influence
 /// the simulated trajectory lives here; the sim-deterministic knobs are
@@ -67,16 +64,17 @@ pub struct ServeConfig {
     pub state_dir: PathBuf,
     /// TCP port to bind on loopback (0 = ephemeral).
     pub port: u16,
-    /// Replicas per shard (1 = unreplicated). The extra K-1 followers
-    /// shadow the authoritative primary from the same admitted stream
-    /// and vote on (disposition, state digest) after every request; a
-    /// divergent follower is masked and rebuilt from the primary's
-    /// durable checkpoint + ingress history. The primary alone owns the
-    /// log and the reply path, so `--replay` output stays byte-identical
+    /// Replicas per shard (1 = unreplicated). Every cell of a shard's
+    /// [`ShardRunner`] gets each admitted request and votes on
+    /// (outcome, output hash, state digest): at K = 2 a split revives
+    /// both cells and retries, at K = 3 a majority masks any faulty
+    /// cell, the primary included. The reply and the log follow the
+    /// trusted ballot, so `--replay` output stays byte-identical
     /// whatever K is.
     pub replicas: usize,
-    /// Proactively rebuild one follower every N admitted requests,
-    /// round-robin (None = never). A no-op at `replicas: 1`.
+    /// Proactively revive each cell every N admitted requests, staggered
+    /// so cell `r` of K fires when `(cursor + r·N/K) % N == 0` (None =
+    /// never). At K = 1 the lone cell rejuvenates too.
     pub rejuvenate_every: Option<u64>,
 }
 
@@ -501,71 +499,38 @@ fn publish(shared: &ShardShared, runner: &ShardRunner) {
     shared
         .detection_insns
         .store(report.detections.iter().map(|d| d.insns_into_request).sum(), Ordering::SeqCst);
-    shared.revivals.store(runner.revivals, Ordering::SeqCst);
     shared.quarantined.store(runner.quarantined(), Ordering::SeqCst);
+    let c = runner.counters;
+    shared.revivals.store(c.revivals, Ordering::SeqCst);
+    shared.divergences.store(c.divergences, Ordering::SeqCst);
+    shared.divergent_masked.store(c.divergent_masked, Ordering::SeqCst);
+    shared.rejuvenations.store(c.rejuvenations, Ordering::SeqCst);
 }
 
-fn quarantine_record(seq: u64) -> IngressRecord {
-    IngressRecord {
-        seq,
-        kind: IngressKind::Quarantine,
-        request_id: 0,
-        malicious: false,
-        data: Vec::new(),
+/// Durably appends the tombstones the runner just created.
+fn log_tombstones(log: &mut IngressWriter, seqs: &[u64]) -> Result<(), PersistError> {
+    for &seq in seqs {
+        log.append(&IngressRecord {
+            seq,
+            kind: IngressKind::Quarantine,
+            request_id: 0,
+            malicious: false,
+            data: Vec::new(),
+        })?;
+        log.sync()?;
     }
-}
-
-fn cursor_blob(cursor: u64) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u64(cursor);
-    w.finish()
-}
-
-pub(crate) fn read_cursor(progress: &[u8]) -> Result<u64, PersistError> {
-    let mut r = WireReader::new(progress);
-    let cursor = r.u64("serve progress cursor")?;
-    r.expect_exhausted("serve progress trailing bytes")?;
-    Ok(cursor)
-}
-
-/// One shadow replica: a [`ShardRunner`] fed the identical admitted
-/// stream as the authoritative primary, plus the incremental digest
-/// cache it votes with.
-struct Follower {
-    runner: ShardRunner,
-    cache: DigestCache,
-}
-
-/// Builds (or rebuilds) one shadow follower from the shard's durable
-/// checkpoint plus the in-memory admitted history — exactly the state a
-/// crash-restart of the primary would recover, which the replay
-/// determinism contract makes byte-identical to the live primary.
-fn build_follower(
-    cfg: &WorkerCfg,
-    store: &SnapshotStore,
-    history: &[IngressRecord],
-) -> Result<Follower, ShardError> {
-    let checkpoint = match store.load_shard(cfg.shard).map_err(ShardError::Persist)? {
-        Some(loaded) => {
-            let cursor = read_cursor(&loaded.progress).map_err(ShardError::Persist)?;
-            Some((loaded.state, cursor))
-        }
-        None => None,
-    };
-    let (runner, _already_tombstoned) =
-        ShardRunner::from_log(cfg.engine.clone(), cfg.shard, history.to_vec(), checkpoint)?;
-    Ok(Follower { runner, cache: DigestCache::new() })
+    Ok(())
 }
 
 /// One shard worker: recover durable state, then serve the queue until
 /// every sender is gone, checkpointing as configured.
 ///
-/// With `cfg.replicas > 1` the worker also runs K-1 shadow followers:
-/// each follower admits the same record right after the primary, then
-/// the worker compares (disposition, state digest). Any mismatch is a
-/// divergence — the follower is masked and rebuilt from the durable
-/// checkpoint + history. The primary stays authoritative for the log,
-/// the reply and the final stats, so replay identity is untouched.
+/// The worker drives one [`ShardRunner`] of `cfg.replicas` cells, all
+/// started from the shard's checkpoint (loaded once) and the ingress
+/// log's tail. The runner votes after every request and revives dead or
+/// out-voted cells from the checkpoint it recovered from or last wrote;
+/// the reply, the tombstones and the final stats follow the trusted
+/// ballot, so `--replay` output is byte-identical whatever K is.
 fn shard_worker(
     cfg: &WorkerCfg,
     shared: &ShardShared,
@@ -577,11 +542,6 @@ fn shard_worker(
     std::fs::create_dir_all(&dir).map_err(|e| ShardError::Persist(e.into()))?;
     let (mut log, records) = IngressWriter::recover(&dir.join(INGRESS_FILE), shard as u32)
         .map_err(ShardError::Persist)?;
-    let follower_count = cfg.replicas.saturating_sub(1);
-    // The in-memory mirror of the ingress log, maintained only when
-    // followers exist (it is what divergent followers rebuild from).
-    let mut history: Vec<IngressRecord> =
-        if follower_count > 0 { records.clone() } else { Vec::new() };
     let checkpoint = match store.load_shard(shard).map_err(ShardError::Persist)? {
         Some(loaded) => {
             let cursor = read_cursor(&loaded.progress).map_err(ShardError::Persist)?;
@@ -589,30 +549,23 @@ fn shard_worker(
         }
         None => None,
     };
-    let (mut runner, fresh) =
-        ShardRunner::from_log(cfg.engine.clone(), shard, records, checkpoint)?;
+    let (mut runner, fresh) = ShardRunner::replicated(
+        cfg.engine.clone(),
+        shard,
+        cfg.replicas,
+        cfg.rejuvenate_every,
+        records,
+        checkpoint,
+    )?;
     // Recovery may have quarantined entries that killed the engine
     // deterministically; durably tombstone them before serving.
-    for seq in fresh {
-        let q = quarantine_record(seq);
-        log.append(&q).map_err(ShardError::Persist)?;
-        if follower_count > 0 {
-            history.push(q);
-        }
-    }
+    log_tombstones(&mut log, &fresh).map_err(ShardError::Persist)?;
     log.sync().map_err(ShardError::Persist)?;
     let mut writer = if cfg.checkpoint_every > 0 {
         Some(store.shard_writer(shard).map_err(ShardError::Persist)?)
     } else {
         None
     };
-    let mut followers = Vec::with_capacity(follower_count);
-    for _ in 0..follower_count {
-        followers.push(build_follower(cfg, &store, &history)?);
-    }
-    let mut primary_cache = DigestCache::new();
-    let mut admitted = 0u64;
-    let mut rejuvenate_rr = 0usize;
     publish(shared, &runner);
 
     let mut since_checkpoint = 0u32;
@@ -624,42 +577,10 @@ fn shard_worker(
             malicious: item.malicious,
             data: item.data,
         };
-        let shadow_rec = (follower_count > 0).then(|| rec.clone());
         // Write-ahead: log the admission before the sim sees it.
         log.append(&rec).map_err(ShardError::Persist)?;
-        if let Some(r) = &shadow_rec {
-            history.push(r.clone());
-        }
         let (disp, tombstones) = runner.admit(rec);
-        for seq in tombstones {
-            let q = quarantine_record(seq);
-            log.append(&q).map_err(ShardError::Persist)?;
-            log.sync().map_err(ShardError::Persist)?;
-            if follower_count > 0 {
-                history.push(q);
-            }
-        }
-        if let Some(shadow) = shadow_rec {
-            let primary_digest = primary_cache.digest(runner.system_mut()).value;
-            for f in &mut followers {
-                let (fdisp, _ftombstones) = f.runner.admit(shadow.clone());
-                let fdigest = f.cache.digest(f.runner.system_mut()).value;
-                if fdisp != disp || fdigest != primary_digest {
-                    shared.divergences.fetch_add(1, Ordering::SeqCst);
-                    *f = build_follower(cfg, &store, &history)?;
-                    shared.divergent_masked.fetch_add(1, Ordering::SeqCst);
-                }
-            }
-            admitted += 1;
-            if let Some(n) = cfg.rejuvenate_every {
-                if n > 0 && admitted.is_multiple_of(n) {
-                    let idx = rejuvenate_rr % followers.len();
-                    rejuvenate_rr += 1;
-                    followers[idx] = build_follower(cfg, &store, &history)?;
-                    shared.rejuvenations.fetch_add(1, Ordering::SeqCst);
-                }
-            }
-        }
+        log_tombstones(&mut log, &tombstones).map_err(ShardError::Persist)?;
         let verdict = match disp {
             Disposition::Served { .. } => Verdict::Served,
             Disposition::Detected { level: RecoveryLevel::Micro } => Verdict::DetectedMicro,
@@ -680,10 +601,7 @@ fn shard_worker(
             if since_checkpoint >= cfg.checkpoint_every {
                 since_checkpoint = 0;
                 log.sync().map_err(ShardError::Persist)?;
-                let (state, cursor) = runner.freeze();
-                let receipt =
-                    w.checkpoint(&state, &cursor_blob(cursor)).map_err(ShardError::Persist)?;
-                runner.wal.absorb(receipt);
+                runner.checkpoint(w).map_err(ShardError::Persist)?;
             }
         }
     }
@@ -691,9 +609,7 @@ fn shard_worker(
     // Drained (all senders gone): final flush + checkpoint.
     log.sync().map_err(ShardError::Persist)?;
     if let Some(w) = writer.as_mut() {
-        let (state, cursor) = runner.freeze();
-        let receipt = w.checkpoint(&state, &cursor_blob(cursor)).map_err(ShardError::Persist)?;
-        runner.wal.absorb(receipt);
+        runner.checkpoint(w).map_err(ShardError::Persist)?;
     }
     shared.draining.store(true, Ordering::SeqCst);
     Ok(runner.finish(true))

@@ -22,7 +22,9 @@
 //! to a durable per-shard ingress log (`indra-persist` journal framing)
 //! **before** it is delivered to the simulated system, and each shard's
 //! simulated trajectory is, by construction, a pure function of that
-//! ordered log ([`engine`]). `fleetd --replay <state-dir>` therefore
+//! ordered log ([`ShardRunner`], the one closed-loop shard runner, which
+//! lives in `indra-replica` and also runs the `--replicas K` vote).
+//! `fleetd --replay <state-dir>` therefore
 //! reproduces the live run's [`indra_fleet::FleetStats`] byte for byte
 //! — including runs interrupted by `kill -9`, revived shards, and
 //! quarantined poison requests — which is what makes a production
@@ -34,7 +36,6 @@
 
 pub mod args;
 pub mod daemon;
-pub mod engine;
 pub mod loadgen;
 pub mod proto;
 pub mod replay;
@@ -44,9 +45,8 @@ pub use args::{
     parse_fleetd_args, parse_loadgen_args, FleetdArgs, LoadgenArgs, FLEETD_USAGE, LOADGEN_USAGE,
 };
 pub use daemon::{Daemon, ServeConfig, ServeError, ServeReport};
-pub use engine::{
-    decode_engine_meta, encode_engine_meta, Disposition, EngineConfig, ShardEngine, ShardRunner,
-};
+pub use indra_fleet::engine::{decode_engine_meta, encode_engine_meta, EngineConfig, ShardEngine};
+pub use indra_replica::{Disposition, ShardRunner};
 pub use loadgen::{run_loadgen, LoadgenReport, SweepPoint};
 pub use proto::{
     decode_frame, encode_frame, read_frame, write_frame, Frame, FrameError, HealthReply,

@@ -16,7 +16,7 @@ use indra_fleet::{aggregate_stats, FleetStats, ShardOutput};
 use indra_persist::{read_ingress_log, PersistError, SnapshotStore, INGRESS_FILE};
 
 use crate::daemon::{discover_shards, ServeError};
-use crate::engine::{decode_engine_meta, ShardRunner};
+use crate::{decode_engine_meta, ShardRunner};
 
 /// Outcome of a replay run.
 #[derive(Debug, Clone)]

@@ -16,8 +16,7 @@ use indra::core::{
 use indra::fleet::{run_fleet, FleetConfig};
 use indra::os::ARENA_BASE;
 use indra::persist::{decode_snapshot, encode_snapshot, IngressKind, IngressRecord};
-use indra::serve::engine::ShardRunner;
-use indra::serve::EngineConfig;
+use indra::serve::{EngineConfig, ShardRunner};
 use indra::workloads::{
     attack_request, benign_request, build_app_scaled, Attack, ServiceApp, UNMAPPED_ADDR,
 };

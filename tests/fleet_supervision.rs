@@ -8,6 +8,7 @@ use indra_fleet::{
     run_fleet, run_fleet_supervised, ChaosConfig, FleetConfig, FleetReport, SupervisorConfig,
 };
 use indra_persist::ScratchDir;
+use indra_replica::{run_fleet_replicated, ReplicaOptions};
 use indra_workloads::ServiceApp;
 
 fn scratch(tag: &str) -> ScratchDir {
@@ -179,4 +180,24 @@ fn supervision_without_chaos_matches_the_plain_executor() {
     // plain executor's stays null.
     assert!(report.to_json().contains("\"supervision\":{"));
     assert!(plain.to_json().contains("\"supervision\":null"));
+}
+
+#[test]
+fn availability_counts_each_request_once_in_both_runners() {
+    // A dormant plant is served and caught later: it still counts as
+    // one disposed request, and both runners count it the same way.
+    let cfg = FleetConfig {
+        shards: 2,
+        requests_per_shard: 24,
+        attack_per_mille: 700,
+        include_dormant_attacks: true,
+        ..FleetConfig::quick()
+    };
+    let opts = ReplicaOptions { replicas: 1, rejuvenate_every: None, chaos: ChaosConfig::off() };
+    let replicated = run_fleet_replicated(&cfg, &opts).expect("replicated run");
+    let supervised = run_fleet_supervised(&cfg, &SupervisorConfig::default());
+    let r = replicated.supervision.expect("replicated supervision").availability;
+    let s = supervised.supervision.expect("supervised supervision").availability;
+    assert!(r <= 1.0 && s <= 1.0, "availability must stay in [0, 1]: {r} / {s}");
+    assert_eq!(r, s, "both runners must count availability the same way");
 }

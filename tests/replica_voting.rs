@@ -11,7 +11,10 @@
 //! future change to the chaos planner or the monitor that would make
 //! the payload visible — or voting blind — fails loudly here.
 
-use indra_fleet::{plan_for_shard, shard_schedule, ChaosConfig, FleetConfig, FleetReport};
+use indra_fleet::{
+    plan_for_shard, run_fleet, shard_schedule, ChaosConfig, FleetConfig, FleetReport,
+};
+use indra_persist::ScratchDir;
 use indra_replica::{run_fleet_replicated, ReplicaCell, ReplicaOptions};
 
 fn tiny() -> FleetConfig {
@@ -80,8 +83,8 @@ fn first_stealth_payload_is_monitor_blind_but_digest_visible() {
     let ev = *chaos_plan.stealth.first().expect("stealth profile plans one strike");
 
     let schedule = shard_schedule(&cfg, &plan);
-    let mut victim = ReplicaCell::build(&cfg, &plan).expect("victim cell");
-    let mut witness = ReplicaCell::build(&cfg, &plan).expect("witness cell");
+    let mut victim = ReplicaCell::new(&cfg.engine(plan.app)).expect("victim cell");
+    let mut witness = ReplicaCell::new(&cfg.engine(plan.app)).expect("witness cell");
     let mut struck = false;
     for (seq, req) in schedule.into_iter().enumerate() {
         if !struck && ev.at_served <= seq as u64 {
@@ -108,4 +111,36 @@ fn first_stealth_payload_is_monitor_blind_but_digest_visible() {
         witness.report().detections.len(),
         "the monitor must stay blind for the whole run"
     );
+}
+
+/// `tiny`, checkpointing into `dir`.
+fn stored(dir: &std::path::Path) -> FleetConfig {
+    FleetConfig { store_dir: Some(dir.to_string_lossy().into_owned()), ..tiny() }
+}
+
+#[test]
+fn a_reused_store_dir_does_not_leak_into_revivals() {
+    // A second identical run on the same directory finds the first
+    // run's checkpoints there. A revival must restore only what this
+    // run wrote, so both runs report the same bytes.
+    let guard = ScratchDir::new("replica-reuse").expect("scratch dir");
+    let opts = ReplicaOptions { replicas: 3, rejuvenate_every: None, chaos: stealth() };
+    let first = run_fleet_replicated(&stored(guard.path()), &opts).expect("first run");
+    let second = run_fleet_replicated(&stored(guard.path()), &opts).expect("second run");
+    assert_eq!(second.stats.to_json(), first.stats.to_json());
+    let (a, b) = (first.supervision.expect("sup"), second.supervision.expect("sup"));
+    assert_eq!((a.divergences, a.divergent_masked), (b.divergences, b.divergent_masked));
+}
+
+#[test]
+fn a_store_written_by_the_plain_fleet_is_not_trusted_by_revivals() {
+    // The plain fleet's progress blobs are not runner cursors; a
+    // replicated run over its directory must neither decode them nor
+    // panic, and ends with the stats of a run on a fresh store.
+    let guard = ScratchDir::new("replica-plain-store").expect("scratch dir");
+    let _ = run_fleet(&FleetConfig { checkpoint_every: 3, ..stored(guard.path()) });
+    let fresh = run(3, Some(3), stealth());
+    let opts = ReplicaOptions { replicas: 3, rejuvenate_every: Some(3), chaos: stealth() };
+    let reused = run_fleet_replicated(&stored(guard.path()), &opts).expect("replicated run");
+    assert_eq!(reused.stats.to_json(), fresh.stats.to_json());
 }
