@@ -7,27 +7,35 @@
 //! cargo run --release -p indra-bench --bin ablations [--scale N]
 //! ```
 
-use indra_bench::{build_image, run, RunOptions};
+use std::process::ExitCode;
+
+use indra_bench::cli::{self, Cli};
+use indra_bench::{build_image, help_text, run, RunOptions};
 use indra_core::{DeltaConfig, IndraSystem, RunState, SchemeKind, SystemConfig};
 use indra_sim::CoreRole;
 use indra_workloads::{attack_request, benign_request, Attack, ServiceApp, Traffic, UNMAPPED_ADDR};
 
-fn main() {
-    let scale: u32 = {
-        let mut scale = 4;
-        let mut it = std::env::args().skip(1);
-        while let Some(a) = it.next() {
-            if a == "--scale" {
-                scale = it.next().and_then(|v| v.parse().ok()).unwrap_or(4);
-            }
-        }
-        scale
+const ABLATIONS: Cli = Cli {
+    about: "ablations — INDRA's fixed design points swept to show why they hold",
+    tool: "ablations",
+    flags: &[("--scale", "N")],
+    operands: "",
+    prose: "--scale N divides each workload's work by N (default 4).",
+};
+const USAGE: &str = help_text!(ABLATIONS);
+
+fn main() -> ExitCode {
+    let scale = match ABLATIONS.parse(USAGE, std::env::args().skip(1), |a| a.num("--scale", 1.., 4))
+    {
+        Ok(scale) => scale,
+        Err(msg) => return cli::exit(&msg, USAGE),
     };
     println!("== INDRA ablations (scale 1/{scale}) ==\n");
     ablate_line_size(scale);
     ablate_cam(scale);
     ablate_fleet(scale);
     ablate_hybrid_threshold(scale);
+    ExitCode::SUCCESS
 }
 
 /// Delta backup granularity: the paper picks the 64 B L2 line. Smaller

@@ -1,17 +1,50 @@
-//! Regenerates every table and figure of the paper's evaluation (§4).
-//!
-//! ```text
-//! cargo run --release -p indra-bench --bin paper -- [--scale N] [section...]
-//! sections: table2 table3 table4 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16 security
-//! ```
-//!
-//! With no section arguments, everything runs (at `--scale 1` this is the
-//! full paper-scale reproduction; expect minutes of simulation).
+//! Regenerates every table and figure of the paper's evaluation (§4):
+//! `cargo run --release -p indra-bench --bin paper -- --help` lists the
+//! sections.
 
-use indra_bench::{run, CsvSink, RunOptions};
+use std::process::ExitCode;
+
+use indra_bench::cli::{self, Cli};
+use indra_bench::{help_text, run, CsvSink, RunOptions};
 use indra_core::{FailureCause, MonitorConfig, SchemeKind, ViolationKind};
 use indra_sim::MachineConfig;
 use indra_workloads::{Attack, ServiceApp, UNMAPPED_ADDR};
+
+/// A section: prints its table or figure at a work scale, mirroring any
+/// series to the CSV sink.
+type Section = fn(u32, &CsvSink);
+
+/// Every section, in run order; all but `calibrate` run by default.
+const SECTIONS: [(&str, Section); 13] = [
+    ("table4", table4),
+    ("table2", table2),
+    ("table3", table3),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig14", fig14),
+    ("fig15", fig15),
+    ("fig16", fig16),
+    ("security", security),
+    ("calibrate", calibrate),
+];
+
+const PAPER: Cli = Cli {
+    about: "paper — regenerates every table and figure of the paper's evaluation (§4)",
+    tool: "paper",
+    flags: &[("--scale", "N"), ("--csv", "DIR")],
+    operands: "[SECTION]...",
+    prose: "\
+SECTION is one of table2 table3 table4 fig9 fig10 fig11 fig12 fig13
+fig14 fig15 fig16 security calibrate. With none, every section but
+calibrate runs. --scale N divides each workload's work by N (default
+1: the full paper-scale run, minutes of simulation). --csv DIR writes
+each figure's series to DIR/<figure>.csv. calibrate prints each app's
+measured profile next to the targets its workload spec is tuned to.",
+};
+const USAGE: &str = help_text!(PAPER);
 
 struct Args {
     scale: u32,
@@ -19,25 +52,25 @@ struct Args {
     csv: CsvSink,
 }
 
-fn parse_args() -> Args {
-    let mut scale = 1;
-    let mut sections = Vec::new();
-    let mut csv = CsvSink::disabled();
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        if a == "--scale" {
-            scale = it.next().and_then(|v| v.parse().ok()).unwrap_or(1);
-        } else if a == "--csv" {
-            csv = CsvSink::to_dir(it.next().unwrap_or_else(|| "results".to_owned()));
-        } else {
-            sections.push(a);
+fn parse_args() -> Result<Args, String> {
+    PAPER.parse(USAGE, std::env::args().skip(1), |a| {
+        if let Some(s) = a.operands.iter().find(|s| SECTIONS.iter().all(|(name, _)| name != s)) {
+            return Err(format!("unknown section {s}"));
         }
-    }
-    Args { scale, sections, csv }
+        Ok(Args {
+            scale: a.num("--scale", 1.., 1)?,
+            sections: a.operands.clone(),
+            csv: a.get("--csv").map_or_else(CsvSink::disabled, CsvSink::to_dir),
+        })
+    })
 }
 
 fn wants(args: &Args, name: &str) -> bool {
-    args.sections.is_empty() || args.sections.iter().any(|s| s == name)
+    if args.sections.is_empty() {
+        name != "calibrate"
+    } else {
+        args.sections.iter().any(|s| s == name)
+    }
 }
 
 fn base_opts(app: ServiceApp, scale: u32) -> RunOptions {
@@ -48,50 +81,22 @@ fn base_opts(app: ServiceApp, scale: u32) -> RunOptions {
     o
 }
 
-fn main() {
-    let args = parse_args();
+fn main() -> ExitCode {
+    let args = match parse_args() {
+        Ok(a) => a,
+        Err(msg) => return cli::exit(&msg, USAGE),
+    };
     println!("== INDRA reproduction: evaluation harness (scale 1/{}) ==\n", args.scale);
-
-    if wants(&args, "table4") {
-        table4();
+    for (name, section) in SECTIONS {
+        if wants(&args, name) {
+            section(args.scale, &args.csv);
+        }
     }
-    if wants(&args, "table2") {
-        table2(args.scale);
-    }
-    if wants(&args, "table3") {
-        table3(args.scale);
-    }
-    if wants(&args, "fig9") {
-        fig9(args.scale, &args.csv);
-    }
-    if wants(&args, "fig10") {
-        fig10(args.scale, &args.csv);
-    }
-    if wants(&args, "fig11") {
-        fig11(args.scale, &args.csv);
-    }
-    if wants(&args, "fig12") {
-        fig12(args.scale, &args.csv);
-    }
-    if wants(&args, "fig13") {
-        fig13(args.scale, &args.csv);
-    }
-    if wants(&args, "fig14") {
-        fig14(args.scale, &args.csv);
-    }
-    if wants(&args, "fig15") {
-        fig15(args.scale, &args.csv);
-    }
-    if wants(&args, "fig16") {
-        fig16(args.scale, &args.csv);
-    }
-    if wants(&args, "security") {
-        security(args.scale);
-    }
+    ExitCode::SUCCESS
 }
 
 /// Table 4: processor model parameters actually in force.
-fn table4() {
+fn table4(_: u32, _: &CsvSink) {
     let m = MachineConfig::default();
     println!("-- Table 4: processor model parameters --");
     println!("fetch/decode width        {}", m.core.fetch_width);
@@ -121,7 +126,7 @@ fn table4() {
 
 /// Table 2: which inspection detects which exploit. Each cell runs the
 /// attack with ONLY that inspection enabled.
-fn table2(scale: u32) {
+fn table2(scale: u32, _: &CsvSink) {
     println!("-- Table 2: remote exploit inspection (detected = ✓) --");
     let app = ServiceApp::Httpd;
     let image = indra_bench::build_image(&base_opts(app, scale.max(8)));
@@ -182,7 +187,7 @@ fn table2(scale: u32) {
 }
 
 /// Table 3: measured backup/recovery cost classes of the four schemes.
-fn table3(scale: u32) {
+fn table3(scale: u32, _: &CsvSink) {
     println!("-- Table 3: memory backup approaches (measured, httpd, attack every 2nd request) --");
     println!(
         "{:<22} {:>16} {:>16} {:>12}",
@@ -390,7 +395,7 @@ fn fig16(scale: u32, csv: &CsvSink) {
 }
 
 /// §4.1: detection + recovery across every attack class and every app.
-fn security(scale: u32) {
+fn security(scale: u32, _: &CsvSink) {
     println!("-- §4.1: security evaluation: detect & recover, all apps x all attack classes --");
     println!(
         "{:<10} {:<22} {:>9} {:>10} {:>13}",
@@ -466,4 +471,43 @@ fn security(scale: u32) {
         }
     }
     println!("\n(every attack is detected and the service keeps serving all benign clients)");
+}
+
+/// Workload calibration: each app's measured profile next to the
+/// targets its spec is tuned to (runs only when named).
+fn calibrate(scale: u32, _: &CsvSink) {
+    println!("-- calibration: measured profile vs tuning targets --");
+    println!(
+        "{:<10} {:>12} {:>8} {:>8} {:>9} {:>9} {:>10}",
+        "app", "insns/req", "IL1%", "tgtIL1%", "backup%", "tgtbk%", "mon ovh%"
+    );
+    let targets = [
+        (ServiceApp::Ftpd, 1.5, 15.0),
+        (ServiceApp::Httpd, 2.0, 20.0),
+        (ServiceApp::Bind, 4.5, 45.0),
+        (ServiceApp::Sendmail, 2.5, 20.0),
+        (ServiceApp::Imap, 1.2, 12.0),
+        (ServiceApp::Nfs, 1.8, 18.0),
+    ];
+    for (app, tgt_il1, tgt_bk) in targets {
+        let mut opts = base_opts(app, scale);
+        opts.requests = 6;
+        let m = run(&opts);
+        let mut on = opts.clone();
+        on.scheme = SchemeKind::None;
+        let mut off = on.clone();
+        off.monitoring = false;
+        let ovh = (run(&on).cycles_per_benign / run(&off).cycles_per_benign - 1.0) * 100.0;
+        println!(
+            "{:<10} {:>12.0} {:>8.2} {:>8.1} {:>9.1} {:>9.1} {:>10.2}",
+            app.name(),
+            m.insns_per_request,
+            m.il1.miss_rate() * 100.0,
+            tgt_il1,
+            m.scheme.backup_fraction() * 100.0,
+            tgt_bk,
+            ovh,
+        );
+    }
+    println!();
 }

@@ -22,8 +22,11 @@
 //! `--min-mips X` turns the run into a regression gate: the process
 //! exits non-zero if the compute workload lands below the floor.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
+use indra_bench::cli::{self, Cli};
+use indra_bench::help_text;
 use indra_core::json::JsonObject;
 use indra_core::{IndraSystem, RunState, SchemeKind, SystemConfig};
 use indra_isa::assemble;
@@ -45,48 +48,39 @@ struct Args {
     compartments: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        quick: false,
-        out: "results/BENCH_simcore.json".into(),
-        min_mips: None,
-        superblocks: true,
-        compartments: true,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => args.quick = true,
-            "--out" => args.out = it.next().ok_or("--out needs a value")?,
-            "--min-mips" => {
-                let v = it.next().ok_or("--min-mips needs a value")?;
-                args.min_mips = Some(v.parse().map_err(|e| format!("--min-mips: {e}"))?);
-            }
-            "--no-superblocks" => args.superblocks = false,
-            "--no-compartments" => args.compartments = false,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown option {other}\n{USAGE}")),
-        }
-    }
-    Ok(args)
-}
-
-const USAGE: &str = "\
-simbench — INDRA host-side simulator MIPS benchmark
-
-USAGE: simbench [--quick] [--out PATH] [--min-mips X] [--no-superblocks]
-                [--no-compartments]
-
+const SIMBENCH: Cli = Cli {
+    about: "simbench — INDRA host-side simulator MIPS benchmark",
+    tool: "simbench",
+    flags: &[
+        ("--quick", ""),
+        ("--out", "PATH"),
+        ("--min-mips", "X"),
+        ("--no-superblocks", ""),
+        ("--no-compartments", ""),
+    ],
+    operands: "",
+    prose: "\
 Runs the compute / memory / attack_mix workloads, prints a MIPS table
 and writes results/BENCH_simcore.json. --quick shrinks the iteration
 counts for CI smoke use; --min-mips X exits non-zero if the compute
 workload falls below the floor; --no-superblocks measures the
 one-instruction reference dispatch loop (the simulated instruction
 counts are identical either way); --no-compartments measures the
-attack_mix workload without per-request compartment tracking.";
+attack_mix workload without per-request compartment tracking.",
+};
+const USAGE: &str = help_text!(SIMBENCH);
+
+fn parse_args() -> Result<Args, String> {
+    SIMBENCH.parse(USAGE, std::env::args().skip(1), |a| {
+        Ok(Args {
+            quick: a.has("--quick"),
+            out: a.get("--out").unwrap_or("results/BENCH_simcore.json").to_owned(),
+            min_mips: a.opt("--min-mips", ..)?,
+            superblocks: !a.has("--no-superblocks"),
+            compartments: !a.has("--no-compartments"),
+        })
+    })
+}
 
 /// One workload's measurement.
 struct Sample {
@@ -256,13 +250,10 @@ fn attack_mix_workload(requests: u32, superblocks: bool, compartments: bool) -> 
     Sample { name: "attack_mix", insns, wall_seconds: wall }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
+        Err(msg) => return cli::exit(&msg, USAGE),
     };
     let (compute_iters, memory_passes, requests) =
         if args.quick { (40_000, 40, 12) } else { (400_000, 400, 60) };
@@ -297,19 +288,12 @@ fn main() {
     });
     obj.raw("workloads", &indra_core::json::json_array(items));
     let json = obj.finish();
-    if let Some(dir) = std::path::Path::new(&args.out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create results dir");
-        }
-    }
-    std::fs::write(&args.out, format!("{json}\n")).expect("write results json");
+    cli::write_out(&args.out, &format!("{json}\n")).expect("write results json");
     println!("wrote {}", args.out);
 
-    if let Some(floor) = args.min_mips {
-        let compute = samples[0].mips();
-        if compute < floor {
-            eprintln!("simbench: compute MIPS {compute:.3} below floor {floor:.3}");
-            std::process::exit(1);
-        }
+    if let Err(msg) = cli::floor("compute MIPS", samples[0].mips(), args.min_mips) {
+        eprintln!("simbench: {msg}");
+        return ExitCode::FAILURE;
     }
+    ExitCode::SUCCESS
 }

@@ -8,6 +8,7 @@
 //! --bin paper`) prints the actual table/figure series, and the Criterion
 //! benches wrap the same runner.
 
+pub mod cli;
 mod csv;
 mod hist;
 

@@ -77,9 +77,9 @@ impl Default for EngineConfig {
     }
 }
 
-/// Checkpoint schemes in `serve.meta` tag order (apps use the order of
-/// [`ServiceApp::ALL`]).
-const SCHEMES: [SchemeKind; 5] = [
+/// Checkpoint schemes in meta tag order (apps use the order of
+/// [`ServiceApp::ALL`]). `serve.meta` and `fleet.meta` share both tables.
+pub(crate) const SCHEMES: [SchemeKind; 5] = [
     SchemeKind::None,
     SchemeKind::Delta,
     SchemeKind::VirtualCheckpoint,
@@ -87,8 +87,18 @@ const SCHEMES: [SchemeKind; 5] = [
     SchemeKind::UndoLog,
 ];
 
-fn tag_of<T: PartialEq>(all: &[T], value: &T) -> u8 {
+/// The meta tag of `value`: its index in `all`.
+pub(crate) fn tag_of<T: PartialEq>(all: &[T], value: &T) -> u8 {
     all.iter().position(|v| v == value).expect("every variant has a tag") as u8
+}
+
+/// The entry of `all` a meta tag names.
+pub(crate) fn from_tag<T: Copy>(
+    all: &[T],
+    tag: u8,
+    unknown: &'static str,
+) -> Result<T, PersistError> {
+    all.get(usize::from(tag)).copied().ok_or(PersistError::Corrupt { context: unknown })
 }
 
 /// Serializes an [`EngineConfig`] for `serve.meta`.
@@ -115,15 +125,10 @@ pub fn encode_engine_meta(cfg: &EngineConfig) -> Vec<u8> {
 /// Typed [`PersistError`] on truncation or unknown tags.
 pub fn decode_engine_meta(bytes: &[u8]) -> Result<EngineConfig, PersistError> {
     let mut r = WireReader::new(bytes);
-    let app = r.u8("serve meta app")? as usize;
     let cfg = EngineConfig {
-        app: *ServiceApp::ALL
-            .get(app)
-            .ok_or(PersistError::Corrupt { context: "unknown service app" })?,
+        app: from_tag(&ServiceApp::ALL, r.u8("serve meta app")?, "unknown service app")?,
         scale: r.u32("serve meta scale")?,
-        scheme: *SCHEMES
-            .get(r.u8("serve meta scheme")? as usize)
-            .ok_or(PersistError::Corrupt { context: "unknown scheme kind" })?,
+        scheme: from_tag(&SCHEMES, r.u8("serve meta scheme")?, "unknown scheme kind")?,
         fifo_entries: r.usize("serve meta fifo")?,
         cam_entries: r.usize("serve meta cam")?,
         fast_paths: r.bool("serve meta fast paths")?,

@@ -22,10 +22,11 @@
 
 use std::path::Path;
 
-use indra_core::{SchemeKind, SystemState};
+use indra_core::SystemState;
 use indra_persist::{PersistError, SnapshotStore, WireReader, WireWriter};
 use indra_workloads::ServiceApp;
 
+use crate::engine::{from_tag, tag_of, SCHEMES};
 use crate::executor::run_fleet_with;
 use crate::{FleetConfig, FleetReport};
 
@@ -85,31 +86,6 @@ pub(crate) fn decode_progress(bytes: &[u8]) -> Result<ShardProgress, PersistErro
     Ok(p)
 }
 
-fn app_tag(app: ServiceApp) -> u8 {
-    ServiceApp::ALL.iter().position(|&a| a == app).expect("app in ALL") as u8
-}
-
-fn scheme_tag(scheme: SchemeKind) -> u8 {
-    match scheme {
-        SchemeKind::None => 0,
-        SchemeKind::Delta => 1,
-        SchemeKind::VirtualCheckpoint => 2,
-        SchemeKind::SoftwareCheckpoint => 3,
-        SchemeKind::UndoLog => 4,
-    }
-}
-
-fn scheme_from_tag(tag: u8) -> Result<SchemeKind, PersistError> {
-    Ok(match tag {
-        0 => SchemeKind::None,
-        1 => SchemeKind::Delta,
-        2 => SchemeKind::VirtualCheckpoint,
-        3 => SchemeKind::SoftwareCheckpoint,
-        4 => SchemeKind::UndoLog,
-        _ => return Err(PersistError::Corrupt { context: "unknown scheme kind" }),
-    })
-}
-
 /// Serializes the deterministic portion of a [`FleetConfig`] for
 /// `fleet.meta`. `store_dir` and `halt_after_checkpoints` are excluded
 /// on purpose: the first is supplied by `--resume <dir>` itself, the
@@ -119,14 +95,14 @@ pub(crate) fn encode_meta(cfg: &FleetConfig) -> Vec<u8> {
     w.usize(cfg.shards);
     w.seq(cfg.apps.len());
     for &app in &cfg.apps {
-        w.u8(app_tag(app));
+        w.u8(tag_of(&ServiceApp::ALL, &app));
     }
     w.u32(cfg.requests_per_shard);
     w.u32(cfg.scale);
     w.u32(cfg.attack_per_mille);
     w.u64(cfg.mean_gap_cycles);
     w.u64(cfg.seed);
-    w.u8(scheme_tag(cfg.scheme));
+    w.u8(tag_of(&SCHEMES, &cfg.scheme));
     w.usize(cfg.fifo_entries);
     w.usize(cfg.cam_entries);
     w.opt_u32(cfg.fault_every);
@@ -145,12 +121,7 @@ pub(crate) fn decode_meta(bytes: &[u8]) -> Result<FleetConfig, PersistError> {
     let n = r.seq(1, "meta apps")?;
     let mut apps = Vec::with_capacity(n);
     for _ in 0..n {
-        let tag = r.u8("meta app")? as usize;
-        apps.push(
-            *ServiceApp::ALL
-                .get(tag)
-                .ok_or(PersistError::Corrupt { context: "unknown service app" })?,
-        );
+        apps.push(from_tag(&ServiceApp::ALL, r.u8("meta app")?, "unknown service app")?);
     }
     let cfg = FleetConfig {
         shards,
@@ -160,7 +131,7 @@ pub(crate) fn decode_meta(bytes: &[u8]) -> Result<FleetConfig, PersistError> {
         attack_per_mille: r.u32("meta attack rate")?,
         mean_gap_cycles: r.u64("meta gap")?,
         seed: r.u64("meta seed")?,
-        scheme: scheme_from_tag(r.u8("meta scheme")?)?,
+        scheme: from_tag(&SCHEMES, r.u8("meta scheme")?, "unknown scheme kind")?,
         fifo_entries: r.usize("meta fifo")?,
         cam_entries: r.usize("meta cam")?,
         fault_every: r.opt_u32("meta fault every")?,
@@ -249,6 +220,26 @@ mod tests {
         // Resume-supplied fields never travel through the meta file.
         assert_eq!(back.store_dir, None);
         assert_eq!(back.halt_after_checkpoints, None);
+    }
+
+    /// `fleet.meta` bytes for one fixed config: the format is on disk,
+    /// so any change to the field order or the tag tables shows here.
+    #[test]
+    fn meta_bytes_are_pinned() {
+        let cfg = FleetConfig {
+            shards: 3,
+            apps: vec![ServiceApp::Bind, ServiceApp::Nfs],
+            scheme: indra_core::SchemeKind::UndoLog,
+            fault_every: Some(5),
+            checkpoint_every: 4,
+            ..FleetConfig::quick()
+        };
+        let hex: String = encode_meta(&cfg).iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "03000000000000000200000002050c000000280000007d00000050c3000000000000eef17a1d00000000\
+             04200000000000000020000000000000000105000000400d0300000000000004000000010101"
+        );
     }
 
     #[test]

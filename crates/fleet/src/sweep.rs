@@ -10,7 +10,8 @@
 //! multi-core host it grows with shard count; on a single hardware
 //! thread it stays flat while the deterministic stats stay identical.
 
-use indra_bench::CsvSink;
+use indra_bench::cli::{self, Cli};
+use indra_bench::{help_text, CsvSink};
 use indra_core::json::{json_array, JsonObject};
 use indra_persist::ScratchDir;
 
@@ -69,216 +70,41 @@ pub struct SweepArgs {
     pub assert_divergences_min: Option<u64>,
 }
 
-impl Default for SweepArgs {
-    fn default() -> SweepArgs {
-        SweepArgs {
-            shard_counts: vec![1, 2, 4, 6],
-            base: FleetConfig::default(),
-            csv: None,
-            json: false,
-            resume: None,
-            chaos: None,
-            chaos_seed: None,
-            max_revivals: None,
-            shard_deadline_ms: None,
-            quick: false,
-            chaos_out: None,
-            assert_revivals_min: None,
-            assert_availability_min: None,
-            replicas: 1,
-            rejuvenate_every: None,
-            replica_bench: false,
-            assert_divergences_min: None,
-        }
-    }
-}
-
-/// Parses CLI arguments (exposed for testing).
-///
-/// # Errors
-///
-/// Returns a usage string when an option is unknown or its value does
-/// not parse.
-pub fn parse_args(args: impl Iterator<Item = String>) -> Result<SweepArgs, String> {
-    fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
-        args.next().ok_or_else(|| format!("{flag} needs a value"))
-    }
-    let mut out = SweepArgs::default();
-    let mut args = args;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--shards" => {
-                let v: String = value(&mut args, "--shards")?;
-                out.shard_counts = v
-                    .split(',')
-                    .map(|s| s.trim().parse::<usize>().map_err(|e| format!("--shards: {e}")))
-                    .collect::<Result<_, _>>()?;
-                if out.shard_counts.is_empty() || out.shard_counts.contains(&0) {
-                    return Err("--shards needs positive counts".into());
-                }
-            }
-            "--requests" => {
-                out.base.requests_per_shard = value(&mut args, "--requests")?
-                    .parse()
-                    .map_err(|e| format!("--requests: {e}"))?;
-            }
-            "--scale" => {
-                out.base.scale =
-                    value(&mut args, "--scale")?.parse().map_err(|e| format!("--scale: {e}"))?;
-            }
-            "--attack-per-mille" => {
-                out.base.attack_per_mille = value(&mut args, "--attack-per-mille")?
-                    .parse()
-                    .map_err(|e| format!("--attack-per-mille: {e}"))?;
-                if out.base.attack_per_mille > 1000 {
-                    return Err("--attack-per-mille is out of [0, 1000]".into());
-                }
-            }
-            "--mean-gap" => {
-                out.base.mean_gap_cycles = value(&mut args, "--mean-gap")?
-                    .parse()
-                    .map_err(|e| format!("--mean-gap: {e}"))?;
-            }
-            "--fault-every" => {
-                out.base.fault_every = Some(
-                    value(&mut args, "--fault-every")?
-                        .parse()
-                        .map_err(|e| format!("--fault-every: {e}"))?,
-                );
-            }
-            "--seed" => {
-                out.base.seed =
-                    value(&mut args, "--seed")?.parse().map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--checkpoint-every" => {
-                out.base.checkpoint_every = value(&mut args, "--checkpoint-every")?
-                    .parse()
-                    .map_err(|e| format!("--checkpoint-every: {e}"))?;
-            }
-            "--store" => out.base.store_dir = Some(value(&mut args, "--store")?),
-            "--halt-after" => {
-                out.base.halt_after_checkpoints = Some(
-                    value(&mut args, "--halt-after")?
-                        .parse()
-                        .map_err(|e| format!("--halt-after: {e}"))?,
-                );
-            }
-            "--resume" => out.resume = Some(value(&mut args, "--resume")?),
-            "--csv" => out.csv = Some(value(&mut args, "--csv")?),
-            "--json" => out.json = true,
-            "--no-fast-paths" => out.base.fast_paths = false,
-            "--no-superblocks" => out.base.superblocks = false,
-            "--no-compartments" => out.base.compartments = false,
-            "--chaos" => {
-                let name = value(&mut args, "--chaos")?;
-                if name != "campaign" {
-                    ChaosConfig::profile(&name).map_err(|e| format!("--chaos: {e}"))?;
-                }
-                out.chaos = Some(name);
-            }
-            "--chaos-seed" => {
-                out.chaos_seed = Some(
-                    value(&mut args, "--chaos-seed")?
-                        .parse()
-                        .map_err(|e| format!("--chaos-seed: {e}"))?,
-                );
-            }
-            "--max-revivals" => {
-                out.max_revivals = Some(
-                    value(&mut args, "--max-revivals")?
-                        .parse()
-                        .map_err(|e| format!("--max-revivals: {e}"))?,
-                );
-            }
-            "--shard-deadline-ms" => {
-                let ms: u64 = value(&mut args, "--shard-deadline-ms")?
-                    .parse()
-                    .map_err(|e| format!("--shard-deadline-ms: {e}"))?;
-                if ms == 0 {
-                    return Err("--shard-deadline-ms needs a positive deadline".into());
-                }
-                out.shard_deadline_ms = Some(ms);
-            }
-            "--quick" => out.quick = true,
-            "--chaos-out" => out.chaos_out = Some(value(&mut args, "--chaos-out")?),
-            "--assert-revivals-min" => {
-                out.assert_revivals_min = Some(
-                    value(&mut args, "--assert-revivals-min")?
-                        .parse()
-                        .map_err(|e| format!("--assert-revivals-min: {e}"))?,
-                );
-            }
-            "--assert-availability-min" => {
-                out.assert_availability_min = Some(
-                    value(&mut args, "--assert-availability-min")?
-                        .parse()
-                        .map_err(|e| format!("--assert-availability-min: {e}"))?,
-                );
-            }
-            "--replicas" => {
-                let k: usize = value(&mut args, "--replicas")?
-                    .parse()
-                    .map_err(|e| format!("--replicas: {e}\n{USAGE}"))?;
-                if !(1..=3).contains(&k) {
-                    return Err(format!("--replicas needs 1, 2 or 3 (got {k})\n{USAGE}"));
-                }
-                out.replicas = k;
-            }
-            "--rejuvenate-every" => {
-                let n: u64 = value(&mut args, "--rejuvenate-every")?
-                    .parse()
-                    .map_err(|e| format!("--rejuvenate-every: {e}\n{USAGE}"))?;
-                if n == 0 || n > 1_000_000 {
-                    return Err(format!(
-                        "--rejuvenate-every needs a cadence in [1, 1000000] (got {n})\n{USAGE}"
-                    ));
-                }
-                out.rejuvenate_every = Some(n);
-            }
-            "--replica-bench" => out.replica_bench = true,
-            "--assert-divergences-min" => {
-                out.assert_divergences_min = Some(
-                    value(&mut args, "--assert-divergences-min")?
-                        .parse()
-                        .map_err(|e| format!("--assert-divergences-min: {e}"))?,
-                );
-            }
-            "--help" | "-h" => return Err(USAGE.into()),
-            other => return Err(format!("unknown option {other}\n{USAGE}")),
-        }
-    }
-    if out.base.checkpoint_every > 0 && out.base.store_dir.is_none() {
-        return Err("--checkpoint-every needs --store DIR".into());
-    }
-    if out.base.halt_after_checkpoints.is_some() && out.base.checkpoint_every == 0 {
-        return Err("--halt-after needs --checkpoint-every".into());
-    }
-    if out.quick {
-        // Smoke-test shape: fewer requests, deeper work-scale cut.
-        out.base.requests_per_shard = 12;
-        out.base.scale = 40;
-    }
-    Ok(out)
-}
-
-/// `fleetbench --help` text.
-pub const USAGE: &str = "\
-fleetbench — INDRA fleet shard-count scaling sweep
-
-USAGE: fleetbench [--shards 1,2,4,6] [--requests N] [--scale N]
-                  [--attack-per-mille N] [--mean-gap CYCLES]
-                  [--fault-every N] [--seed N] [--csv DIR] [--json]
-                  [--no-fast-paths] [--no-superblocks]
-                  [--no-compartments] [--quick]
-                  [--checkpoint-every N --store DIR [--halt-after N]]
-                  [--resume DIR]
-                  [--chaos PROFILE|campaign] [--chaos-seed N]
-                  [--max-revivals N] [--shard-deadline-ms N]
-                  [--chaos-out PATH] [--assert-revivals-min N]
-                  [--assert-availability-min F]
-                  [--replicas K] [--rejuvenate-every N] [--replica-bench]
-                  [--assert-divergences-min N]
-
+const FLEETBENCH: Cli = Cli {
+    about: "fleetbench — INDRA fleet shard-count scaling sweep",
+    tool: "fleetbench",
+    flags: &[
+        ("--shards", "1,2,4,6"),
+        ("--requests", "N"),
+        ("--scale", "N"),
+        ("--attack-per-mille", "N"),
+        ("--mean-gap", "CYCLES"),
+        ("--fault-every", "N"),
+        ("--seed", "N"),
+        ("--csv", "DIR"),
+        ("--json", ""),
+        ("--no-fast-paths", ""),
+        ("--no-superblocks", ""),
+        ("--no-compartments", ""),
+        ("--quick", ""),
+        ("--checkpoint-every", "N"),
+        ("--store", "DIR"),
+        ("--halt-after", "N"),
+        ("--resume", "DIR"),
+        ("--chaos", "PROFILE|campaign"),
+        ("--chaos-seed", "N"),
+        ("--max-revivals", "N"),
+        ("--shard-deadline-ms", "N"),
+        ("--chaos-out", "PATH"),
+        ("--assert-revivals-min", "N"),
+        ("--assert-availability-min", "F"),
+        ("--replicas", "K"),
+        ("--rejuvenate-every", "N"),
+        ("--replica-bench", ""),
+        ("--assert-divergences-min", "N"),
+    ],
+    operands: "",
+    prose: "\
 --no-fast-paths disables the host-side predecode and translation
 caches (slow reference path); --no-superblocks disables the superblock
 execution engine (hot basic blocks batched into pre-validated micro-op
@@ -294,10 +120,10 @@ WAL deltas — the wal KB/pages columns report checkpoint volume.
 
 Crash-safe checkpointing: --checkpoint-every N durably snapshots each
 shard to --store DIR after every N served requests; --halt-after K
-simulates a crash by killing each shard after its Kth checkpoint.
---resume DIR restores a killed run from its checkpoint directory and
-runs it to the original quota — the final stats are byte-identical to
-an uninterrupted run.
+(needs --checkpoint-every) simulates a crash by killing each shard
+after its Kth checkpoint. --resume DIR restores a killed run from its
+checkpoint directory and runs it to the original quota — the final
+stats are byte-identical to an uninterrupted run.
 
 Chaos mode: --chaos PROFILE (off, light, kills, stalls, wal, poison,
 default, heavy) runs the fleet under supervision with that fault
@@ -312,13 +138,78 @@ Replication: --replicas K (2 or 3) runs K deterministic replicas of
 every shard with per-request divergence voting — a silently corrupted
 replica (--chaos stealth) votes apart, is masked and revived from the
 majority checkpoint; the deterministic stats stay byte-identical to an
-undisturbed run. --rejuvenate-every N proactively restarts each
-replica from its durable checkpoint every N admitted requests,
+undisturbed run. --rejuvenate-every N (1-1000000) proactively restarts
+each replica from its durable checkpoint every N admitted requests,
 staggered so the group keeps its voting quorum. --replica-bench runs
 the K=1/2/3 detection and overhead sweep and writes
 results/BENCH_replica.json. In replicated runs --chaos-out PATH saves
 the deterministic FleetStats JSON and --assert-divergences-min N fails
-the run unless voting caught at least N divergences.";
+the run unless voting caught at least N divergences.",
+};
+
+/// `fleetbench --help` text.
+pub const USAGE: &str = help_text!(FLEETBENCH);
+
+/// Parses CLI arguments (exposed for testing).
+///
+/// # Errors
+///
+/// [`USAGE`] itself for `--help`; otherwise a message naming the bad
+/// flag, followed by the usage.
+pub fn parse_args(args: impl Iterator<Item = String>) -> Result<SweepArgs, String> {
+    FLEETBENCH.parse(USAGE, args, |a| {
+        let b = FleetConfig::default();
+        let chaos = a.get("--chaos").map(str::to_owned);
+        if let Some(name) = chaos.as_deref().filter(|&name| name != "campaign") {
+            ChaosConfig::profile(name).map_err(|e| format!("--chaos: {e}"))?;
+        }
+        let mut out = SweepArgs {
+            shard_counts: a.list("--shards", 1..)?.unwrap_or_else(|| vec![1, 2, 4, 6]),
+            base: FleetConfig {
+                requests_per_shard: a.num("--requests", .., b.requests_per_shard)?,
+                scale: a.num("--scale", 1.., b.scale)?,
+                attack_per_mille: a.num("--attack-per-mille", 0..=1000, b.attack_per_mille)?,
+                mean_gap_cycles: a.num("--mean-gap", .., b.mean_gap_cycles)?,
+                fault_every: a.opt("--fault-every", ..)?,
+                seed: a.num("--seed", .., b.seed)?,
+                checkpoint_every: a.num("--checkpoint-every", .., b.checkpoint_every)?,
+                store_dir: a.get("--store").map(str::to_owned),
+                halt_after_checkpoints: a.opt("--halt-after", ..)?,
+                fast_paths: !a.has("--no-fast-paths"),
+                superblocks: !a.has("--no-superblocks"),
+                compartments: !a.has("--no-compartments"),
+                ..b
+            },
+            csv: a.get("--csv").map(str::to_owned),
+            json: a.has("--json"),
+            resume: a.get("--resume").map(str::to_owned),
+            chaos,
+            chaos_seed: a.opt("--chaos-seed", ..)?,
+            max_revivals: a.opt("--max-revivals", ..)?,
+            shard_deadline_ms: a.opt("--shard-deadline-ms", 1..)?,
+            quick: a.has("--quick"),
+            chaos_out: a.get("--chaos-out").map(str::to_owned),
+            assert_revivals_min: a.opt("--assert-revivals-min", ..)?,
+            assert_availability_min: a.opt("--assert-availability-min", ..)?,
+            replicas: a.num("--replicas", 1..=3, 1)?,
+            rejuvenate_every: a.opt("--rejuvenate-every", 1..=1_000_000)?,
+            replica_bench: a.has("--replica-bench"),
+            assert_divergences_min: a.opt("--assert-divergences-min", ..)?,
+        };
+        if out.base.checkpoint_every > 0 && out.base.store_dir.is_none() {
+            return Err("--checkpoint-every needs --store DIR".into());
+        }
+        if out.base.halt_after_checkpoints.is_some() && out.base.checkpoint_every == 0 {
+            return Err("--halt-after needs --checkpoint-every".into());
+        }
+        if out.quick {
+            // Smoke-test shape: fewer requests, deeper work-scale cut.
+            out.base.requests_per_shard = 12;
+            out.base.scale = 40;
+        }
+        Ok(out)
+    })
+}
 
 /// Runs the sweep, printing the scaling table (and optional JSON) to
 /// stdout and mirroring it into `<csv>/fleet_scaling.csv`.
@@ -629,29 +520,12 @@ fn run_chaos(args: &SweepArgs, name: &str) -> Result<Vec<FleetReport>, String> {
             .str("mode", name)
             .raw("runs", &json_array(entries.iter().cloned()))
             .finish();
-        if let Some(parent) = std::path::Path::new(&path).parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(|e| format!("{path}: {e}"))?;
-            }
-        }
-        std::fs::write(&path, doc.as_bytes()).map_err(|e| format!("{path}: {e}"))?;
+        cli::write_out(&path, &doc)?;
         println!("chaos report: wrote {path}");
     }
 
-    if let Some(min) = args.assert_revivals_min {
-        if total_revivals < min {
-            return Err(format!(
-                "assertion failed: {total_revivals} revivals < required minimum {min}"
-            ));
-        }
-    }
-    if let Some(min) = args.assert_availability_min {
-        if worst_availability < min {
-            return Err(format!(
-                "assertion failed: availability {worst_availability:.4} < required minimum {min}"
-            ));
-        }
-    }
+    cli::floor("revivals", total_revivals, args.assert_revivals_min)?;
+    cli::floor("availability", worst_availability, args.assert_availability_min)?;
     Ok(reports)
 }
 

@@ -44,8 +44,9 @@ impl Default for ReplicaOptions {
 }
 
 /// Drives one shard's schedule through a replicated runner: stealth
-/// strikes due before each request, the voted admission, then a
-/// checkpoint every `checkpoint_every` admitted requests.
+/// strikes due before each request, the voted admission, a checkpoint
+/// every `checkpoint_every` admitted requests, then any rejuvenation
+/// due.
 fn run_shard(
     cfg: &FleetConfig,
     opts: &ReplicaOptions,
@@ -81,6 +82,7 @@ fn run_shard(
         if runner.next_seq().is_multiple_of(u64::from(checkpoint_every)) {
             runner.checkpoint(&mut writer).map_err(|e| format!("shard {shard}: {e}"))?;
         }
+        runner.rejuvenate();
     }
     let counters = runner.counters;
     Ok((runner.finish(true), counters))

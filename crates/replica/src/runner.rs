@@ -31,7 +31,10 @@
 //!   all revive through this one routine.
 //! * **Rejuvenate.** Every `N` admitted requests, staggered: cell `r` of
 //!   `K` is revived when `(cursor + r·N/K) % N == 0`, so at most one
-//!   cell per boundary is down and the runner keeps its quorum.
+//!   cell per boundary is down and the runner keeps its quorum. Drivers
+//!   fire it ([`ShardRunner::rejuvenate`]) after their checkpoint at the
+//!   same cursor, so a coincident revival restores that checkpoint and
+//!   replays nothing.
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -98,6 +101,9 @@ pub struct GroupCounters {
     pub revive_wall_ms: f64,
     /// Cell revivals behind `revive_wall_ms`.
     pub revive_events: u64,
+    /// Admitted requests those revivals replayed onto a restored or
+    /// fresh cell.
+    pub revive_replayed: u64,
 }
 
 /// The ballot a strict majority holds, if it is live — the one rule
@@ -269,10 +275,10 @@ impl ShardRunner {
         &mut self.cells
     }
 
-    /// Admits one already-logged request record, decides it under the
-    /// vote, then fires any rejuvenation due at the new cursor. Returns
-    /// its disposition plus any tombstone seq newly created (at most
-    /// one — this request's own, if it failed the vote twice).
+    /// Admits one already-logged request record and decides it under
+    /// the vote. Returns its disposition plus any tombstone seq newly
+    /// created (at most one — this request's own, if it failed the vote
+    /// twice).
     ///
     /// # Panics
     ///
@@ -282,17 +288,25 @@ impl ShardRunner {
         assert_eq!(rec.kind, IngressKind::Request, "admit takes request records");
         assert_eq!(rec.seq, self.next_seq(), "admission seqs must be dense");
         self.requests.push(rec);
-        let decided = self.process_next();
-        if let Some(n) = self.rejuvenate_every {
-            let k = self.cells.len() as u64;
-            for r in 0..self.cells.len() {
-                if (self.cursor + r as u64 * n / k).is_multiple_of(n) {
-                    self.revive(r, self.cursor);
-                    self.counters.rejuvenations += 1;
-                }
+        self.process_next()
+    }
+
+    /// Revives every cell whose rejuvenation is due at the current
+    /// cursor; returns whether any was. Call it after any checkpoint
+    /// taken at this cursor, so the revival restores that checkpoint
+    /// instead of replaying a whole interval.
+    pub fn rejuvenate(&mut self) -> bool {
+        let Some(n) = self.rejuvenate_every else { return false };
+        let k = self.cells.len() as u64;
+        let mut fired = false;
+        for r in 0..self.cells.len() {
+            if (self.cursor + r as u64 * n / k).is_multiple_of(n) {
+                self.revive(r, self.cursor);
+                self.counters.rejuvenations += 1;
+                fired = true;
             }
         }
-        decided
+        fired
     }
 
     /// Processes the request at `cursor`: a logged tombstone is honoured,
@@ -409,6 +423,7 @@ impl ShardRunner {
             }
         }
         self.counters.revive_events += 1;
+        self.counters.revive_replayed += upto - from;
         self.counters.revive_wall_ms += t0.elapsed().as_secs_f64() * 1e3;
     }
 
@@ -467,6 +482,7 @@ mod tests {
     use super::*;
     use indra_bench::Histogram;
     use indra_fleet::aggregate_stats;
+    use indra_isa::{Instruction, Reg};
     use indra_persist::{ScratchDir, SnapshotStore};
     use indra_workloads::{benign_request, build_app_scaled, detectable_attack_suite};
 
@@ -611,5 +627,163 @@ mod tests {
         assert_eq!(struck.counters.divergent_masked, 0, "two cells cannot out-vote each other");
         assert_eq!(struck.counters.revivals, 1, "one untrusted delivery, one retry");
         assert_eq!(stats_json(&clean.finish(true)), stats_json(&struck.finish(true)));
+    }
+
+    #[test]
+    fn a_rejuvenation_at_a_checkpoint_replays_nothing() {
+        let cfg = quick_cfg();
+        let records: Vec<IngressRecord> =
+            (0..8u64).map(|s| req(s, false, benign_request(s as u8, 0x55))).collect();
+        let (clean, _) = ShardRunner::from_log(cfg.clone(), 0, records.clone(), None).unwrap();
+        let guard = ScratchDir::new("runner-rejuvenate").unwrap();
+        let mut writer = SnapshotStore::create(guard.path()).unwrap().shard_writer(0).unwrap();
+        let (mut runner, _) =
+            ShardRunner::replicated(cfg, 0, 1, Some(4), Vec::new(), None).unwrap();
+        for rec in records {
+            runner.admit(rec);
+            if runner.next_seq().is_multiple_of(4) {
+                runner.checkpoint(&mut writer).unwrap();
+            }
+            runner.rejuvenate();
+        }
+        assert_eq!(runner.counters.rejuvenations, 2);
+        assert_eq!(runner.counters.revive_replayed, 0, "each restores the checkpoint just taken");
+        assert_eq!(stats_json(&clean.finish(true)), stats_json(&runner.finish(true)));
+    }
+
+    #[test]
+    fn a_revival_replays_the_tail_honouring_logged_tombstones() {
+        let cfg = quick_cfg();
+        let mut records: Vec<IngressRecord> =
+            (0..4u64).map(|s| req(s, false, benign_request(s as u8, 0x99))).collect();
+        records.push(tombstone(1));
+        let (straight, _) = ShardRunner::from_log(cfg.clone(), 0, records.clone(), None).unwrap();
+        let last = records.remove(3);
+        let (mut runner, _) = ShardRunner::replicated(cfg, 0, 1, Some(4), records, None).unwrap();
+        runner.admit(last);
+        assert!(runner.rejuvenate(), "cursor 4 is a rejuvenation point");
+        assert_eq!(runner.counters.revive_replayed, 4, "no checkpoint: a fresh cell replays all");
+        let revived = runner.finish(true);
+        assert_eq!(revived.report.quarantined, vec![1]);
+        assert_eq!(stats_json(&straight.finish(true)), stats_json(&revived));
+    }
+
+    /// Plants a jump-to-self at `parse`, which every request calls,
+    /// through the loader's privileged write (the code page unprotected
+    /// for the write alone): no trace event, so the monitor never sees
+    /// it. Every later delivery spins out its step budget and the cell
+    /// votes dead.
+    fn plant_spin(cell: &mut ReplicaCell, cfg: &EngineConfig) {
+        let parse = build_app_scaled(cfg.app, cfg.scale).addr_of("parse").expect("parse symbol");
+        let spin = Instruction::Jal { rd: Reg::ZERO, offset: 0 }.encode().expect("encodes");
+        let vpn = parse >> indra_mem::PAGE_SHIFT;
+        let sys = cell.system_mut();
+        let core = sys.service_cores()[0];
+        let machine = sys.machine_mut();
+        let asid = machine.core(core).asid();
+        let space = machine.space_mut(asid).expect("service address space");
+        let pte = space.pte(vpn).expect("parse is mapped");
+        space.protect(vpn, pte.read, true, pte.execute);
+        assert!(machine.write_virtual_u32(asid, parse, spin), "the plant must land");
+        let space = machine.space_mut(asid).expect("service address space");
+        space.protect(vpn, pte.read, pte.write, pte.execute);
+    }
+
+    fn tombstone(seq: u64) -> IngressRecord {
+        IngressRecord {
+            seq,
+            kind: IngressKind::Quarantine,
+            request_id: 0,
+            malicious: false,
+            data: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn k1_death_is_retried_on_a_revived_cell() {
+        let cfg = quick_cfg();
+        let records: Vec<IngressRecord> =
+            (0..4u64).map(|s| req(s, false, benign_request(s as u8, 0x66))).collect();
+        let (clean, _) = ShardRunner::from_log(cfg.clone(), 0, records.clone(), None).unwrap();
+        let mut live = ShardRunner::new(cfg.clone(), 0).unwrap();
+        let mut cycles = Vec::new();
+        for rec in records {
+            if rec.seq == 2 {
+                plant_spin(&mut live.cells_mut()[0], &cfg);
+            }
+            let (disposition, fresh) = live.admit(rec);
+            let Disposition::Served { cycles: c } = disposition else {
+                panic!("the retry must serve: {disposition:?}");
+            };
+            cycles.push(c);
+            assert!(fresh.is_empty(), "the revived cell has no plant, so the retry serves");
+        }
+        assert_eq!(live.counters.revivals, 1, "one death, one retry");
+        let live = live.finish(true);
+        let sampled: Vec<u64> = live.report.samples.iter().map(|s| s.cycles).collect();
+        assert_eq!(cycles, sampled, "each reply carries its request's latency");
+        assert_eq!(stats_json(&clean.finish(true)), stats_json(&live));
+    }
+
+    #[test]
+    fn k1_death_twice_tombstones_and_replays_byte_for_byte() {
+        let cfg = quick_cfg();
+        let guard = ScratchDir::new("runner-k1-death").unwrap();
+        let mut writer = SnapshotStore::create(guard.path()).unwrap().shard_writer(0).unwrap();
+        let mut live = ShardRunner::new(cfg.clone(), 0).unwrap();
+        let mut log = Vec::new();
+        let mut planted = None;
+        for rec in (0..3u64).map(|s| req(s, false, benign_request(s as u8, 0x77))) {
+            if rec.seq == 2 {
+                // Checkpointed, the plant survives the revival: the
+                // retry dies too.
+                plant_spin(&mut live.cells_mut()[0], &cfg);
+                live.checkpoint(&mut writer).unwrap();
+                planted = Some(live.freeze());
+            }
+            log.push(rec.clone());
+            let (disposition, fresh) = live.admit(rec.clone());
+            assert_eq!(disposition == Disposition::Quarantined, rec.seq == 2, "{disposition:?}");
+            log.extend(fresh.into_iter().map(tombstone));
+        }
+        assert_eq!(live.counters.revivals, 2, "death, revival, death again");
+        assert_eq!(live.quarantined(), 1);
+        let live_stats = stats_json(&live.finish(true));
+
+        // The logged tombstone is honoured without a delivery.
+        let (replayed, fresh) = ShardRunner::from_log(cfg.clone(), 0, log.clone(), None).unwrap();
+        assert!(fresh.is_empty(), "a logged tombstone is not decided again");
+        let replayed = replayed.finish(true);
+        assert_eq!(replayed.report.quarantined, vec![2]);
+        assert_eq!(stats_json(&replayed), live_stats);
+
+        // Without it, the vote quarantines the killer again from the
+        // planted checkpoint and hands the new tombstone back.
+        log.retain(|r| r.kind == IngressKind::Request);
+        let (recovered, fresh) = ShardRunner::from_log(cfg, 0, log, planted).unwrap();
+        assert_eq!(fresh, vec![2]);
+        assert_eq!(stats_json(&recovered.finish(true)), live_stats);
+    }
+
+    #[test]
+    fn k3_dead_majority_is_untrusted_and_tombstoned() {
+        let cfg = quick_cfg();
+        let guard = ScratchDir::new("runner-k3-dead").unwrap();
+        let mut writer = SnapshotStore::create(guard.path()).unwrap().shard_writer(0).unwrap();
+        let (mut runner, _) =
+            ShardRunner::replicated(cfg.clone(), 0, 3, None, Vec::new(), None).unwrap();
+        for rec in (0..2u64).map(|s| req(s, false, benign_request(s as u8, 0x88))) {
+            runner.admit(rec);
+        }
+        for cell in &mut runner.cells_mut()[..2] {
+            plant_spin(cell, &cfg);
+        }
+        runner.checkpoint(&mut writer).unwrap();
+        let (disposition, fresh) = runner.admit(req(2, false, benign_request(2, 0x88)));
+        assert_eq!(disposition, Disposition::Quarantined);
+        assert_eq!(fresh, vec![2]);
+        assert_eq!(runner.counters.divergences, 1, "the live minority votes apart");
+        assert_eq!(runner.counters.divergent_masked, 0, "a dead majority masks nothing");
+        assert_eq!(runner.counters.revivals, 2, "untrusted, revived, untrusted again");
     }
 }

@@ -1,10 +1,12 @@
-//! Command-line parsing for the `fleetd` and `loadgen` binaries
-//! (logic here, thin wrappers in the root package — same split as
-//! `fleetbench`). Unknown or malformed flags produce a usage-bearing
-//! error string; the wrappers exit nonzero on it.
+//! Command-line tables for the `fleetd` and `loadgen` binaries (logic
+//! here, thin wrappers in the root package — same split as
+//! `fleetbench`), on the shared [`indra_bench::cli`] flag table.
 
+use std::ops::Bound::Excluded;
 use std::path::PathBuf;
 
+use indra_bench::cli::Cli;
+use indra_bench::help_text;
 use indra_workloads::ServiceApp;
 
 use crate::daemon::ServeConfig;
@@ -25,17 +27,30 @@ pub struct FleetdArgs {
     pub quick: bool,
 }
 
-/// `fleetd --help` text.
-pub const FLEETD_USAGE: &str = "\
-fleetd — INDRA fleet service daemon (length-prefixed binary protocol on
-loopback TCP, deterministic record/replay)
-
-USAGE: fleetd --state DIR [--port N] [--shards N] [--app NAME]
-              [--scale N] [--queue-depth N] [--checkpoint-every N]
-              [--seed N] [--replicas K] [--rejuvenate-every N]
-              [--no-superblocks] [--no-compartments] [--out PATH]
-              [--quick]
-       fleetd --replay DIR [--out PATH]
+const FLEETD: Cli = Cli {
+    about: "fleetd — INDRA fleet service daemon (length-prefixed binary protocol on\n\
+            loopback TCP, deterministic record/replay)",
+    tool: "fleetd",
+    flags: &[
+        ("--state", "DIR"),
+        ("--port", "N"),
+        ("--shards", "N"),
+        ("--app", "NAME"),
+        ("--scale", "N"),
+        ("--queue-depth", "N"),
+        ("--checkpoint-every", "N"),
+        ("--seed", "N"),
+        ("--replicas", "K"),
+        ("--rejuvenate-every", "N"),
+        ("--no-superblocks", ""),
+        ("--no-compartments", ""),
+        ("--replay", "DIR"),
+        ("--out", "PATH"),
+        ("--quick", ""),
+    ],
+    operands: "",
+    prose: "\
+--state DIR is required unless --replay DIR is given.
 
 --no-superblocks disables the host-side superblock execution engine
 (hot basic blocks batched into pre-validated micro-op traces); the
@@ -53,11 +68,11 @@ shard on the identical admitted stream and votes on (outcome, output
 hash, state digest) after each request. K=3 out-votes and revives any
 faulty replica, the primary included; K=2 revives both and retries; a
 request that fails the vote twice is tombstoned. --rejuvenate-every N
-revives each replica from the shard's checkpoint + ingress tail once
-every N admitted requests, staggered across the K replicas (replica r
-fires when (cursor + r*N/K) % N == 0; at K=1 the lone replica too).
-HEALTH reports the divergence and rejuvenation counters. Replay output
-is byte-identical whatever K is.
+(1-1000000) revives each replica from the shard's checkpoint + ingress
+tail once every N admitted requests, staggered across the K replicas
+(replica r fires when (cursor + r*N/K) % N == 0; at K=1 the lone
+replica too). HEALTH reports the divergence and rejuvenation counters.
+Replay output is byte-identical whatever K is.
 
 Serving: binds 127.0.0.1:<port> (0 = ephemeral; the chosen address is
 printed as `fleetd listening on ADDR`), spawns one worker per shard and
@@ -69,104 +84,54 @@ authoritative for the sim knobs and every shard recovers checkpoint +
 ingress log.
 
 Replay: --replay re-runs DIR's per-shard ingress logs from scratch,
-read-only, and prints stats JSON byte-identical to the live run's.";
+read-only, and prints stats JSON byte-identical to the live run's.",
+};
+
+/// `fleetd --help` text.
+pub const FLEETD_USAGE: &str = help_text!(FLEETD);
 
 /// Parses the `fleetd` command line.
 ///
 /// # Errors
 ///
-/// A usage-bearing message on unknown options or unparsable values.
+/// [`FLEETD_USAGE`] itself for `--help`; otherwise a message naming the
+/// bad flag, followed by the usage.
 pub fn parse_fleetd_args(args: impl Iterator<Item = String>) -> Result<FleetdArgs, String> {
-    fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
-        args.next().ok_or_else(|| format!("{flag} needs a value\n{FLEETD_USAGE}"))
-    }
-    let mut out =
-        FleetdArgs { serve: ServeConfig::default(), replay: None, out: None, quick: false };
-    let mut state: Option<PathBuf> = None;
-    let mut args = args;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--state" => state = Some(PathBuf::from(value(&mut args, "--state")?)),
-            "--port" => {
-                out.serve.port =
-                    value(&mut args, "--port")?.parse().map_err(|e| format!("--port: {e}"))?;
-            }
-            "--shards" => {
-                out.serve.shards =
-                    value(&mut args, "--shards")?.parse().map_err(|e| format!("--shards: {e}"))?;
-                if out.serve.shards == 0 {
-                    return Err("--shards needs a positive count".into());
-                }
-            }
-            "--app" => {
-                let name = value(&mut args, "--app")?;
-                out.serve.engine.app = app_by_name(&name)
-                    .ok_or_else(|| format!("--app: unknown service {name:?}\n{FLEETD_USAGE}"))?;
-            }
-            "--scale" => {
-                out.serve.engine.scale =
-                    value(&mut args, "--scale")?.parse().map_err(|e| format!("--scale: {e}"))?;
-                if out.serve.engine.scale == 0 {
-                    return Err("--scale needs a positive divisor".into());
-                }
-            }
-            "--queue-depth" => {
-                out.serve.queue_depth = value(&mut args, "--queue-depth")?
-                    .parse()
-                    .map_err(|e| format!("--queue-depth: {e}"))?;
-                if out.serve.queue_depth == 0 {
-                    return Err("--queue-depth needs a positive depth".into());
-                }
-            }
-            "--checkpoint-every" => {
-                out.serve.checkpoint_every = value(&mut args, "--checkpoint-every")?
-                    .parse()
-                    .map_err(|e| format!("--checkpoint-every: {e}"))?;
-            }
-            "--seed" => {
-                out.serve.engine.seed =
-                    value(&mut args, "--seed")?.parse().map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--replicas" => {
-                let k: usize = value(&mut args, "--replicas")?
-                    .parse()
-                    .map_err(|e| format!("--replicas: {e}\n{FLEETD_USAGE}"))?;
-                if !(1..=3).contains(&k) {
-                    return Err(format!("--replicas needs 1, 2 or 3 (got {k})\n{FLEETD_USAGE}"));
-                }
-                out.serve.replicas = k;
-            }
-            "--rejuvenate-every" => {
-                let n: u64 = value(&mut args, "--rejuvenate-every")?
-                    .parse()
-                    .map_err(|e| format!("--rejuvenate-every: {e}\n{FLEETD_USAGE}"))?;
-                if n == 0 || n > 1_000_000 {
-                    return Err(format!(
-                        "--rejuvenate-every is out of [1, 1000000] (got {n})\n{FLEETD_USAGE}"
-                    ));
-                }
-                out.serve.rejuvenate_every = Some(n);
-            }
-            "--no-superblocks" => out.serve.engine.superblocks = false,
-            "--no-compartments" => out.serve.engine.compartments = false,
-            "--replay" => out.replay = Some(PathBuf::from(value(&mut args, "--replay")?)),
-            "--out" => out.out = Some(PathBuf::from(value(&mut args, "--out")?)),
-            "--quick" => out.quick = true,
-            "--help" | "-h" => return Err(FLEETD_USAGE.into()),
-            other => return Err(format!("unknown option {other}\n{FLEETD_USAGE}")),
+    FLEETD.parse(FLEETD_USAGE, args, |a| {
+        let d = ServeConfig::default();
+        let mut engine = d.engine.clone();
+        if let Some(name) = a.get("--app") {
+            engine.app =
+                app_by_name(name).ok_or_else(|| format!("--app: unknown service {name:?}"))?;
         }
-    }
-    if out.quick {
-        out.serve.shards = out.serve.shards.min(2);
-        out.serve.engine.scale = out.serve.engine.scale.max(60);
-        out.serve.checkpoint_every = 4;
-    }
-    match (state, &out.replay) {
-        (Some(dir), _) => out.serve.state_dir = dir,
-        (None, Some(_)) => {}
-        (None, None) => return Err(format!("--state DIR is required\n{FLEETD_USAGE}")),
-    }
-    Ok(out)
+        engine.scale = a.num("--scale", 1.., engine.scale)?;
+        engine.seed = a.num("--seed", .., engine.seed)?;
+        engine.superblocks = !a.has("--no-superblocks");
+        engine.compartments = !a.has("--no-compartments");
+        let mut serve = ServeConfig {
+            engine,
+            shards: a.num("--shards", 1.., d.shards)?,
+            queue_depth: a.num("--queue-depth", 1.., d.queue_depth)?,
+            checkpoint_every: a.num("--checkpoint-every", .., d.checkpoint_every)?,
+            port: a.num("--port", .., d.port)?,
+            replicas: a.num("--replicas", 1..=3, d.replicas)?,
+            rejuvenate_every: a.opt("--rejuvenate-every", 1..=1_000_000)?,
+            ..d
+        };
+        let quick = a.has("--quick");
+        if quick {
+            serve.shards = serve.shards.min(2);
+            serve.engine.scale = serve.engine.scale.max(60);
+            serve.checkpoint_every = 4;
+        }
+        let replay = a.get("--replay").map(PathBuf::from);
+        match (a.get("--state"), &replay) {
+            (Some(dir), _) => serve.state_dir = PathBuf::from(dir),
+            (None, Some(_)) => {}
+            (None, None) => return Err("--state DIR is required".into()),
+        }
+        Ok(FleetdArgs { serve, replay, out: a.get("--out").map(PathBuf::from), quick })
+    })
 }
 
 pub(crate) fn app_by_name(name: &str) -> Option<ServiceApp> {
@@ -198,14 +163,24 @@ pub struct LoadgenArgs {
     pub drain_timeout_ms: u64,
 }
 
-/// `loadgen --help` text.
-pub const LOADGEN_USAGE: &str = "\
-loadgen — open-loop load generator for fleetd
-
-USAGE: loadgen --addr HOST:PORT [--rates R1,R2,...] [--requests N]
-               [--attack-per-mille N] [--seed N] [--out PATH]
-               [--quick] [--shutdown] [--assert-min-detections N]
-               [--drain-timeout-ms N]
+const LOADGEN: Cli = Cli {
+    about: "loadgen — open-loop load generator for fleetd",
+    tool: "loadgen",
+    flags: &[
+        ("--addr", "HOST:PORT"),
+        ("--rates", "R1,R2,..."),
+        ("--requests", "N"),
+        ("--attack-per-mille", "N"),
+        ("--seed", "N"),
+        ("--out", "PATH"),
+        ("--quick", ""),
+        ("--shutdown", ""),
+        ("--assert-min-detections", "N"),
+        ("--drain-timeout-ms", "N"),
+    ],
+    operands: "",
+    prose: "\
+--addr HOST:PORT is required.
 
 Fetches HEALTH first to learn the daemon's service app and work scale,
 then replays a benign + real-exploit mix at each offered load (open
@@ -214,94 +189,41 @@ point, admitted/rejected counts and wall-clock latency percentiles of
 admitted requests, plus the saturation knee (highest offered load whose
 rejection ratio stays within 1%). --shutdown asks the daemon to drain
 and exit afterwards; --assert-min-detections turns the run into a
-self-checking smoke test.";
+self-checking smoke test.",
+};
+
+/// `loadgen --help` text.
+pub const LOADGEN_USAGE: &str = help_text!(LOADGEN);
 
 /// Parses the `loadgen` command line.
 ///
 /// # Errors
 ///
-/// A usage-bearing message on unknown options or unparsable values.
+/// [`LOADGEN_USAGE`] itself for `--help`; otherwise a message naming the
+/// bad flag, followed by the usage.
 pub fn parse_loadgen_args(args: impl Iterator<Item = String>) -> Result<LoadgenArgs, String> {
-    fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
-        args.next().ok_or_else(|| format!("{flag} needs a value\n{LOADGEN_USAGE}"))
-    }
-    let mut out = LoadgenArgs {
-        addr: String::new(),
-        rates: vec![4.0, 8.0, 16.0, 32.0, 64.0],
-        requests: 48,
-        attack_per_mille: 120,
-        seed: 0x10ad_6e4a,
-        out: None,
-        quick: false,
-        shutdown: false,
-        assert_min_detections: None,
-        drain_timeout_ms: 30_000,
-    };
-    let mut args = args;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--addr" => out.addr = value(&mut args, "--addr")?,
-            "--rates" => {
-                let v = value(&mut args, "--rates")?;
-                out.rates = v
-                    .split(',')
-                    .map(|s| s.trim().parse::<f64>().map_err(|e| format!("--rates: {e}")))
-                    .collect::<Result<_, _>>()?;
-                if out.rates.is_empty() || out.rates.iter().any(|r| *r <= 0.0 || !r.is_finite()) {
-                    return Err("--rates needs positive finite rates".into());
-                }
-            }
-            "--requests" => {
-                out.requests = value(&mut args, "--requests")?
-                    .parse()
-                    .map_err(|e| format!("--requests: {e}"))?;
-                if out.requests == 0 {
-                    return Err("--requests needs a positive count".into());
-                }
-            }
-            "--attack-per-mille" => {
-                out.attack_per_mille = value(&mut args, "--attack-per-mille")?
-                    .parse()
-                    .map_err(|e| format!("--attack-per-mille: {e}"))?;
-                if out.attack_per_mille > 1000 {
-                    return Err("--attack-per-mille is out of [0, 1000]".into());
-                }
-            }
-            "--seed" => {
-                out.seed =
-                    value(&mut args, "--seed")?.parse().map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--out" => out.out = Some(PathBuf::from(value(&mut args, "--out")?)),
-            "--quick" => out.quick = true,
-            "--shutdown" => out.shutdown = true,
-            "--assert-min-detections" => {
-                out.assert_min_detections = Some(
-                    value(&mut args, "--assert-min-detections")?
-                        .parse()
-                        .map_err(|e| format!("--assert-min-detections: {e}"))?,
-                );
-            }
-            "--drain-timeout-ms" => {
-                out.drain_timeout_ms = value(&mut args, "--drain-timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("--drain-timeout-ms: {e}"))?;
-                if out.drain_timeout_ms == 0 {
-                    return Err("--drain-timeout-ms needs a positive timeout".into());
-                }
-            }
-            "--help" | "-h" => return Err(LOADGEN_USAGE.into()),
-            other => return Err(format!("unknown option {other}\n{LOADGEN_USAGE}")),
+    LOADGEN.parse(LOADGEN_USAGE, args, |a| {
+        let addr = a.get("--addr").ok_or("--addr HOST:PORT is required")?.to_owned();
+        let rates = a.list("--rates", (Excluded(0.0), Excluded(f64::INFINITY)))?;
+        let mut out = LoadgenArgs {
+            addr,
+            rates: rates.unwrap_or_else(|| vec![4.0, 8.0, 16.0, 32.0, 64.0]),
+            requests: a.num("--requests", 1.., 48)?,
+            attack_per_mille: a.num("--attack-per-mille", 0..=1000, 120)?,
+            seed: a.num("--seed", .., 0x10ad_6e4a)?,
+            out: a.get("--out").map(PathBuf::from),
+            quick: a.has("--quick"),
+            shutdown: a.has("--shutdown"),
+            assert_min_detections: a.opt("--assert-min-detections", ..)?,
+            drain_timeout_ms: a.num("--drain-timeout-ms", 1.., 30_000)?,
+        };
+        if out.quick {
+            out.rates = vec![8.0, 96.0];
+            out.requests = 16;
+            out.attack_per_mille = out.attack_per_mille.max(250);
         }
-    }
-    if out.addr.is_empty() {
-        return Err(format!("--addr HOST:PORT is required\n{LOADGEN_USAGE}"));
-    }
-    if out.quick {
-        out.rates = vec![8.0, 96.0];
-        out.requests = 16;
-        out.attack_per_mille = out.attack_per_mille.max(250);
-    }
-    Ok(out)
+        Ok(out)
+    })
 }
 
 #[cfg(test)]

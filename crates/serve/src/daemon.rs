@@ -604,6 +604,9 @@ fn shard_worker(
                 runner.checkpoint(w).map_err(ShardError::Persist)?;
             }
         }
+        if runner.rejuvenate() {
+            publish(shared, &runner);
+        }
     }
 
     // Drained (all senders gone): final flush + checkpoint.

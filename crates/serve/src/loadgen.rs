@@ -19,7 +19,7 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use indra_bench::{Histogram, HistogramSummary};
+use indra_bench::{cli, Histogram, HistogramSummary};
 use indra_core::json::{json_array, json_f64, JsonObject};
 use indra_rng::Rng;
 use indra_workloads::{attack_request, benign_request, build_app_scaled, detectable_attack_suite};
@@ -302,24 +302,14 @@ pub fn run_loadgen(args: &LoadgenArgs) -> Result<LoadgenReport, String> {
 
     let report = LoadgenReport { health, points, knee_rps };
     if let Some(path) = &args.out {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(|e| io_err("create out dir", e))?;
-            }
-        }
-        std::fs::write(path, report.to_json(args) + "\n").map_err(|e| io_err("write out", e))?;
+        cli::write_out(path, &(report.to_json(args) + "\n"))?;
         println!("loadgen: wrote {}", path.display());
     }
     if args.shutdown {
         send_shutdown(&args.addr)?;
         println!("loadgen: daemon acknowledged shutdown");
     }
-    if let Some(min) = args.assert_min_detections {
-        let got = report.total_detections();
-        if got < min {
-            return Err(format!("loadgen: expected at least {min} detections, observed {got}"));
-        }
-    }
+    cli::floor("detections", report.total_detections(), args.assert_min_detections)?;
     Ok(report)
 }
 

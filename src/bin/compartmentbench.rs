@@ -21,8 +21,11 @@
 //! `--assert-discards-min N` / `--assert-benign-lost-max N` turn the
 //! run into a self-checking smoke test over the compartments-on leg.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
+use indra_bench::cli::{self, Cli};
+use indra_bench::help_text;
 use indra_core::json::{json_array, JsonObject};
 use indra_core::{IndraSystem, RunState, SchemeKind, SystemConfig};
 use indra_persist::{CheckpointReceipt, SnapshotStore};
@@ -37,50 +40,35 @@ struct Args {
     assert_benign_lost_max: Option<u64>,
 }
 
-const USAGE: &str = "\
-compartmentbench — per-request compartment rewind-and-discard benchmark
-
-USAGE: compartmentbench [--quick] [--out PATH]
-                        [--assert-discards-min N]
-                        [--assert-benign-lost-max N]
-
+const COMPARTMENTBENCH: Cli = Cli {
+    about: "compartmentbench — per-request compartment rewind-and-discard benchmark",
+    tool: "compartmentbench",
+    flags: &[
+        ("--quick", ""),
+        ("--out", "PATH"),
+        ("--assert-discards-min", "N"),
+        ("--assert-benign-lost-max", "N"),
+    ],
+    operands: "",
+    prose: "\
 Serves an interleaved benign/attack stream per Table 2 attack family,
 compartments off vs on, and reports benign requests lost, compartment
 discards and checkpoint WAL volume. Writes
 results/BENCH_compartment.json. The assert flags exit non-zero when
 the compartments-on leg discards fewer than N compartments or loses
-more than N benign requests.";
+more than N benign requests.",
+};
+const USAGE: &str = help_text!(COMPARTMENTBENCH);
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        quick: false,
-        out: "results/BENCH_compartment.json".into(),
-        assert_discards_min: None,
-        assert_benign_lost_max: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => args.quick = true,
-            "--out" => args.out = it.next().ok_or("--out needs a value")?,
-            "--assert-discards-min" => {
-                let v = it.next().ok_or("--assert-discards-min needs a value")?;
-                args.assert_discards_min =
-                    Some(v.parse().map_err(|e| format!("--assert-discards-min: {e}"))?);
-            }
-            "--assert-benign-lost-max" => {
-                let v = it.next().ok_or("--assert-benign-lost-max needs a value")?;
-                args.assert_benign_lost_max =
-                    Some(v.parse().map_err(|e| format!("--assert-benign-lost-max: {e}"))?);
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown option {other}\n{USAGE}")),
-        }
-    }
-    Ok(args)
+    COMPARTMENTBENCH.parse(USAGE, std::env::args().skip(1), |a| {
+        Ok(Args {
+            quick: a.has("--quick"),
+            out: a.get("--out").unwrap_or("results/BENCH_compartment.json").to_owned(),
+            assert_discards_min: a.opt("--assert-discards-min", ..)?,
+            assert_benign_lost_max: a.opt("--assert-benign-lost-max", ..)?,
+        })
+    })
 }
 
 /// Table 2's attack families, each paired with its payload builder.
@@ -200,13 +188,10 @@ fn leg_json(o: &Outcome) -> String {
         .finish()
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
+        Err(msg) => return cli::exit(&msg, USAGE),
     };
     let requests = if args.quick { 12 } else { 32 };
     let image = build_app_scaled(ServiceApp::Httpd, 40);
@@ -279,24 +264,18 @@ fn main() {
         .f64("benign_lost_per_detection_on", lost_per_detection_on)
         .u64("discards_on", discards_on)
         .finish();
-    if let Some(dir) = std::path::Path::new(&args.out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create results dir");
-        }
-    }
-    std::fs::write(&args.out, format!("{json}\n")).expect("write results json");
+    cli::write_out(&args.out, &format!("{json}\n")).expect("write results json");
     println!("wrote {}", args.out);
 
-    if let Some(min) = args.assert_discards_min {
-        if discards_on < min {
-            eprintln!("compartmentbench: {discards_on} discards, below floor {min}");
-            std::process::exit(1);
-        }
+    if let Err(msg) = cli::floor("discards", discards_on, args.assert_discards_min) {
+        eprintln!("compartmentbench: {msg}");
+        return ExitCode::FAILURE;
     }
     if let Some(max) = args.assert_benign_lost_max {
         if lost_on > max {
             eprintln!("compartmentbench: lost {lost_on} benign requests, above cap {max}");
-            std::process::exit(1);
+            return ExitCode::FAILURE;
         }
     }
+    ExitCode::SUCCESS
 }

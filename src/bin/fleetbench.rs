@@ -9,6 +9,7 @@
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
 
+use indra_bench::cli;
 use indra_fleet::sweep::{parse_args, run_sweep, SweepArgs, USAGE};
 use indra_fleet::{ChaosConfig, FleetConfig};
 use indra_replica::{replica_bench_json, run_fleet_replicated, ReplicaOptions};
@@ -47,14 +48,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        Err(msg) if msg == USAGE => {
-            println!("{msg}");
-            ExitCode::SUCCESS
-        }
-        Err(msg) => {
-            eprintln!("{msg}");
-            ExitCode::FAILURE
-        }
+        Err(msg) => cli::exit(&msg, USAGE),
     }
 }
 
@@ -92,33 +86,12 @@ fn run_replicated(args: &SweepArgs) -> Result<(), String> {
     // --chaos-out in a replicated run saves the deterministic stats
     // alone, so CI can `cmp` a stealth run against a chaos-free one.
     if let Some(path) = &args.chaos_out {
-        std::fs::write(path, report.stats.to_json().as_bytes())
-            .map_err(|e| format!("{path}: {e}"))?;
+        cli::write_out(path, &report.stats.to_json())?;
     }
-    if let Some(min) = args.assert_divergences_min {
-        if sup.divergences < min {
-            return Err(format!(
-                "assertion failed: {} divergences caught < required minimum {min}",
-                sup.divergences
-            ));
-        }
-    }
-    if let Some(min) = args.assert_revivals_min {
-        let revived = sup.divergent_masked + sup.rejuvenations;
-        if revived < min {
-            return Err(format!(
-                "assertion failed: {revived} replica revivals < required minimum {min}"
-            ));
-        }
-    }
-    if let Some(min) = args.assert_availability_min {
-        if sup.availability < min {
-            return Err(format!(
-                "assertion failed: availability {:.4} < required minimum {min}",
-                sup.availability
-            ));
-        }
-    }
+    cli::floor("divergences caught", sup.divergences, args.assert_divergences_min)?;
+    let revived = sup.divergent_masked + sup.rejuvenations;
+    cli::floor("replica revivals", revived, args.assert_revivals_min)?;
+    cli::floor("availability", sup.availability, args.assert_availability_min)?;
     Ok(())
 }
 
@@ -127,12 +100,7 @@ fn run_replicated(args: &SweepArgs) -> Result<(), String> {
 fn run_replica_bench(args: &SweepArgs) -> Result<(), String> {
     let doc = replica_bench_json(args.quick)?;
     let path = args.chaos_out.clone().unwrap_or_else(|| "results/BENCH_replica.json".to_string());
-    if let Some(parent) = std::path::Path::new(&path).parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent).map_err(|e| format!("{path}: {e}"))?;
-        }
-    }
-    std::fs::write(&path, doc.as_bytes()).map_err(|e| format!("{path}: {e}"))?;
+    cli::write_out(&path, &doc)?;
     println!("replica bench: wrote {path}");
     Ok(())
 }

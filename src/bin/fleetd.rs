@@ -7,6 +7,7 @@ use std::process::ExitCode;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
+use indra::bench::cli;
 use indra::serve::{
     install_shutdown_handler, parse_fleetd_args, replay_state_dir, Daemon, FleetdArgs, FLEETD_USAGE,
 };
@@ -20,14 +21,7 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         },
-        Err(msg) if msg == FLEETD_USAGE => {
-            println!("{msg}");
-            ExitCode::SUCCESS
-        }
-        Err(msg) => {
-            eprintln!("{msg}");
-            ExitCode::FAILURE
-        }
+        Err(msg) => cli::exit(&msg, FLEETD_USAGE),
     }
 }
 

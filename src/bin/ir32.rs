@@ -1,177 +1,147 @@
-//! `ir32` — the IR32 toolchain driver.
-//!
-//! A small assembler/disassembler/runner for the reproduction's ISA, so
-//! programs can be developed against the simulated machine directly:
-//!
-//! ```text
-//! ir32 asm prog.s                 assemble; print sections and symbols
-//! ir32 disasm prog.s              assemble and show the full listing
-//! ir32 run prog.s                 run to completion on the kernel-lite
-//! ir32 run prog.s --req hello     queue request(s) for net_recv servers
-//! ir32 trace prog.s               run under the INDRA monitor and dump
-//!                                 the first trace events + verdicts
-//! ir32 analyze prog.s             static CFG recovery + CFI policy report
-//! ir32 lint --app httpd --json    same report, nonzero exit on findings;
-//!                                 images also come from --app/--fixture
-//! ir32 gadgets --app httpd        CFI-aware gadget catalog + attack
-//!                                 surface score under the tightened policy
-//! ```
-//!
-//! Exit codes for `lint` and `gadgets`: 0 clean, 1 findings present,
-//! 2 usage error, 3 analysis error (unreadable, unassemblable, unknown
-//! app/fixture). `analyze` reports without judging: findings exit 0.
+//! `ir32` — the IR32 toolchain driver: a small assembler, disassembler,
+//! runner and static analyzer for the reproduction's ISA, so programs
+//! can be developed against the simulated machine directly. `ir32
+//! --help` lists the commands, flags and exit codes.
 
 use std::process::ExitCode;
 
 use indra::analyze::{analyze_image, enumerate_gadgets, fixtures, PolicyReport, SurfaceReport};
+use indra::bench::cli::{self, Args, Cli, EXIT_USAGE};
+use indra::bench::help_text;
 use indra::core::json::{json_array, JsonObject};
 use indra::isa::{assemble, disassemble_image, Image};
 use indra::os::{Os, SyscallEffect};
 use indra::sim::{CoreStep, Machine, MachineConfig, TraceEvent};
 use indra::workloads::{build_app_scaled, ServiceApp};
 
-const USAGE: &str = "usage: ir32 <asm|disasm|run|trace> <file.s> [--req DATA]...\n       ir32 <analyze|lint|gadgets> (<file.s> | --app NAME [--scale N] | --fixture NAME) [--json]";
+/// The commands that take one source file.
+const FILE_CLI: Cli = Cli {
+    about: "ir32 — the IR32 toolchain driver",
+    tool: "ir32 <asm|disasm|run|trace>",
+    flags: &[("--req", "DATA")],
+    operands: "FILE.s",
+    prose: "\
+asm prints sections and symbols, disasm the full listing; run runs the
+program to completion on the kernel-lite and trace dumps its first
+trace events under the INDRA monitor. Each --req DATA queues one
+request for a net_recv server.",
+};
+const FILE_USAGE: &str = help_text!(FILE_CLI);
+
+/// The static-analysis commands.
+const ANALYSIS_CLI: Cli = Cli {
+    about: "",
+    tool: "ir32 <analyze|lint|gadgets>",
+    flags: &[("--app", "NAME"), ("--scale", "N"), ("--fixture", "NAME"), ("--json", "")],
+    operands: "[FILE.s]",
+    prose: "\
+The image is FILE.s, a built-in workload (--app NAME, work divided by
+--scale N) or an analyzer fixture (--fixture NAME). analyze prints the
+static CFG and CFI policy report, lint the same report judged, gadgets
+the CFI-aware gadget catalog and attack-surface score.
+
+Exit codes: 0 clean; 1 findings present (lint and gadgets only);
+2 usage error; 3 analysis error (unreadable or unassemblable file,
+unknown app or fixture, bad --scale).",
+};
+const ANALYSIS_USAGE: &str = help_text!(ANALYSIS_CLI);
 
 /// Findings present (`lint`/`gadgets` only).
 const EXIT_FINDINGS: u8 = 1;
-/// Bad invocation: unknown command/option, missing value or input.
-const EXIT_USAGE: u8 = 2;
 /// The input could not be analyzed: unreadable file, assembly error,
-/// unknown app or fixture.
+/// unknown app or fixture, bad scale.
 const EXIT_ANALYSIS: u8 = 3;
-
-/// Rejects unknown `--flags` (previously silently ignored) and flags
-/// missing their value. Positional arguments pass through.
-fn check_flags(
-    cmd: &str,
-    args: &[String],
-    with_value: &[&str],
-    bare: &[&str],
-) -> Result<(), String> {
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if a.starts_with("--") {
-            if with_value.contains(&a) {
-                if i + 1 >= args.len() {
-                    return Err(format!("ir32 {cmd}: {a} needs a value\n{USAGE}"));
-                }
-                i += 2;
-                continue;
-            }
-            if !bare.contains(&a) {
-                return Err(format!("ir32 {cmd}: unknown option {a}\n{USAGE}"));
-            }
-        }
-        i += 1;
-    }
-    Ok(())
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let both = format!("{FILE_USAGE}\n\n{ANALYSIS_USAGE}");
     let Some((cmd, rest)) = args.split_first() else {
-        eprintln!("{USAGE}");
+        eprintln!("{both}");
         return ExitCode::from(EXIT_USAGE);
     };
-    let analysis_cmd = cmd == "analyze" || cmd == "lint" || cmd == "gadgets";
-    let flag_check = if analysis_cmd {
-        check_flags(cmd, rest, &["--app", "--scale", "--fixture"], &["--json"])
-    } else {
-        check_flags(cmd, rest, &["--req"], &[])
-    };
-    if let Err(msg) = flag_check {
-        eprintln!("{msg}");
-        return ExitCode::from(EXIT_USAGE);
-    }
-    if analysis_cmd {
-        return cmd_analyze(cmd, rest);
-    }
-    let Some(path) = rest.first() else {
-        eprintln!("ir32 {cmd}: missing input file");
-        return ExitCode::from(EXIT_USAGE);
-    };
-    let source = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("ir32: cannot read {path}: {e}");
-            return ExitCode::from(EXIT_ANALYSIS);
+    let rest = rest.iter().cloned();
+    let (outcome, help) = match cmd.as_str() {
+        "analyze" | "lint" | "gadgets" => {
+            let outcome = ANALYSIS_CLI.parse(ANALYSIS_USAGE, rest, |a| {
+                if a.operands.is_empty() && !a.has("--app") && !a.has("--fixture") {
+                    return Err("missing input: give a FILE.s, --app NAME or --fixture NAME".into());
+                }
+                Ok(cmd_analyze(cmd, a))
+            });
+            (outcome, ANALYSIS_USAGE)
         }
+        "asm" | "disasm" | "run" | "trace" => {
+            let outcome = FILE_CLI.parse(FILE_USAGE, rest, |a| {
+                let [path] = a.operands.as_slice() else {
+                    return Err("give exactly one FILE.s".into());
+                };
+                Ok(cmd_file(cmd, path, a.all("--req").map(|r| r.as_bytes().to_vec()).collect()))
+            });
+            (outcome, FILE_USAGE)
+        }
+        "--help" | "-h" | "help" => return cli::exit(&both, &both),
+        other => return cli::exit(&format!("ir32: unknown command `{other}`\n{both}"), &both),
     };
-    let name = path.rsplit('/').next().unwrap_or(path).trim_end_matches(".s");
-    let image = match assemble(name, &source) {
+    outcome.unwrap_or_else(|msg| cli::exit(&msg, help))
+}
+
+/// `ir32 asm|disasm|run|trace FILE.s`: assemble, then act on the image.
+fn cmd_file(cmd: &str, path: &str, requests: Vec<Vec<u8>>) -> ExitCode {
+    let image = match read_image(path) {
         Ok(img) => img,
         Err(e) => {
-            eprintln!("ir32: {path}: {e}");
+            eprintln!("ir32: {e}");
             return ExitCode::from(EXIT_ANALYSIS);
         }
     };
-
-    let requests: Vec<Vec<u8>> =
-        rest.windows(2).filter(|w| w[0] == "--req").map(|w| w[1].clone().into_bytes()).collect();
-
-    match cmd.as_str() {
+    match cmd {
         "asm" => cmd_asm(&image),
         "disasm" => cmd_disasm(&image),
         "run" => cmd_run(&image, &requests),
-        "trace" => cmd_trace(&image, &requests),
-        other => {
-            eprintln!("ir32: unknown command `{other}`");
-            ExitCode::from(EXIT_USAGE)
-        }
+        _ => cmd_trace(&image, &requests),
     }
 }
 
-/// Resolves the image for `analyze`/`lint`/`gadgets`: a `.s` file on
-/// disk, a built-in workload (`--app NAME [--scale N]`), or an analyzer
-/// fixture (`--fixture NAME`). The error carries the exit code: missing
-/// input entirely is a usage error, everything else an analysis error.
-fn analysis_image(args: &[String]) -> Result<Image, (u8, String)> {
-    let fail = |msg: String| (EXIT_ANALYSIS, msg);
-    let flag = |name: &str| args.windows(2).find(|w| w[0] == name).map(|w| w[1].clone());
-    if let Some(name) = flag("--app") {
+/// Reads and assembles a `.s` file; the image is named after it.
+fn read_image(path: &str) -> Result<Image, String> {
+    let source = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let name = path.rsplit('/').next().unwrap_or(path).trim_end_matches(".s");
+    assemble(name, &source).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Resolves the image for `analyze`/`lint`/`gadgets`: a built-in
+/// workload (`--app NAME [--scale N]`), an analyzer fixture
+/// (`--fixture NAME`) or a `.s` file on disk. Every error is an
+/// analysis error.
+fn analysis_image(a: &Args) -> Result<Image, String> {
+    if let Some(name) = a.get("--app") {
         let app =
-            ServiceApp::ALL.into_iter().find(|a| format!("{a}") == name).ok_or_else(|| {
-                fail(format!("unknown app `{name}` (try ftpd, httpd, bind, sendmail, imap, nfs)"))
+            ServiceApp::ALL.into_iter().find(|app| format!("{app}") == name).ok_or_else(|| {
+                format!("unknown app `{name}` (try ftpd, httpd, bind, sendmail, imap, nfs)")
             })?;
-        let scale = match flag("--scale") {
-            Some(s) => s.parse::<u32>().map_err(|_| fail(format!("bad --scale `{s}`")))?.max(1),
-            None => 1,
-        };
-        return Ok(build_app_scaled(app, scale));
+        let scale: u32 = a.num("--scale", .., 1)?;
+        return Ok(build_app_scaled(app, scale.max(1)));
     }
-    if let Some(name) = flag("--fixture") {
-        return fixtures::fixture(&name).ok_or_else(|| {
-            fail(format!(
-                "unknown fixture `{name}` (available: {})",
-                fixtures::FIXTURE_NAMES.join(", ")
-            ))
+    if let Some(name) = a.get("--fixture") {
+        return fixtures::fixture(name).ok_or_else(|| {
+            format!("unknown fixture `{name}` (available: {})", fixtures::FIXTURE_NAMES.join(", "))
         });
     }
-    let Some(path) = args.iter().find(|a| !a.starts_with("--")) else {
-        return Err((
-            EXIT_USAGE,
-            "missing input: give a .s file, --app NAME, or --fixture NAME".to_owned(),
-        ));
-    };
-    let source =
-        std::fs::read_to_string(path).map_err(|e| fail(format!("cannot read {path}: {e}")))?;
-    let name = path.rsplit('/').next().unwrap_or(path).trim_end_matches(".s");
-    assemble(name, &source).map_err(|e| fail(format!("{path}: {e}")))
+    read_image(&a.operands[0])
 }
 
 /// `ir32 analyze` / `ir32 lint` / `ir32 gadgets` — run the static
 /// pipeline and print the report. `lint` and `gadgets` exit
 /// [`EXIT_FINDINGS`] when there are findings.
-fn cmd_analyze(cmd: &str, args: &[String]) -> ExitCode {
+fn cmd_analyze(cmd: &str, args: &Args) -> ExitCode {
     let image = match analysis_image(args) {
         Ok(img) => img,
-        Err((code, e)) => {
+        Err(e) => {
             eprintln!("ir32 {cmd}: {e}");
-            return ExitCode::from(code);
+            return ExitCode::from(EXIT_ANALYSIS);
         }
     };
-    let json = args.iter().any(|a| a == "--json");
+    let json = args.has("--json");
     let clean = if cmd == "gadgets" {
         let report = enumerate_gadgets(&image);
         if json {

@@ -4,6 +4,7 @@
 
 use std::process::ExitCode;
 
+use indra::bench::cli;
 use indra::serve::{parse_loadgen_args, run_loadgen, LOADGEN_USAGE};
 
 fn main() -> ExitCode {
@@ -21,13 +22,6 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         },
-        Err(msg) if msg == LOADGEN_USAGE => {
-            println!("{msg}");
-            ExitCode::SUCCESS
-        }
-        Err(msg) => {
-            eprintln!("{msg}");
-            ExitCode::FAILURE
-        }
+        Err(msg) => cli::exit(&msg, LOADGEN_USAGE),
     }
 }

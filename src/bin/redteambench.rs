@@ -15,8 +15,11 @@
 //! `--assert-detections-min` / `--assert-undetected-min` turn the run
 //! into a self-checking smoke test.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
+use indra_bench::cli::{self, Cli};
+use indra_bench::help_text;
 use indra_core::json::{json_array, JsonObject};
 use indra_redteam::{run_campaign, CampaignConfig, FamilyReport};
 
@@ -29,63 +32,40 @@ struct Args {
     assert_undetected_min: Option<u64>,
 }
 
-const USAGE: &str = "\
-redteambench — coverage-guided red-team campaign benchmark
-
-USAGE: redteambench [--quick] [--seed N] [--out PATH]
-                    [--assert-families-min N]
-                    [--assert-detections-min N]
-                    [--assert-undetected-min N]
-
+const REDTEAMBENCH: Cli = Cli {
+    about: "redteambench — coverage-guided red-team campaign benchmark",
+    tool: "redteambench",
+    flags: &[
+        ("--quick", ""),
+        ("--seed", "N"),
+        ("--out", "PATH"),
+        ("--assert-families-min", "N"),
+        ("--assert-detections-min", "N"),
+        ("--assert-undetected-min", "N"),
+    ],
+    operands: "",
+    prose: "\
 Evolves attack payloads across four families (jop_chain, rop_ret,
 dormant_span, exhaust) against a generated service, scores each by how
 far it got before detection, and writes the detection-latency
 distribution by family to results/BENCH_redteam.json. Output is
 byte-deterministic for a given --seed. The assert flags exit non-zero
 when fewer than N families were exercised, fewer than N candidates
-were detected, or fewer than N ran undetected.";
+were detected, or fewer than N ran undetected.",
+};
+const USAGE: &str = help_text!(REDTEAMBENCH);
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        quick: false,
-        seed: 1,
-        out: "results/BENCH_redteam.json".into(),
-        assert_families_min: None,
-        assert_detections_min: None,
-        assert_undetected_min: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => args.quick = true,
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                args.seed = v.parse().map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--out" => args.out = it.next().ok_or("--out needs a value")?,
-            "--assert-families-min" => {
-                let v = it.next().ok_or("--assert-families-min needs a value")?;
-                args.assert_families_min =
-                    Some(v.parse().map_err(|e| format!("--assert-families-min: {e}"))?);
-            }
-            "--assert-detections-min" => {
-                let v = it.next().ok_or("--assert-detections-min needs a value")?;
-                args.assert_detections_min =
-                    Some(v.parse().map_err(|e| format!("--assert-detections-min: {e}"))?);
-            }
-            "--assert-undetected-min" => {
-                let v = it.next().ok_or("--assert-undetected-min needs a value")?;
-                args.assert_undetected_min =
-                    Some(v.parse().map_err(|e| format!("--assert-undetected-min: {e}"))?);
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown option {other}\n{USAGE}")),
-        }
-    }
-    Ok(args)
+    REDTEAMBENCH.parse(USAGE, std::env::args().skip(1), |a| {
+        Ok(Args {
+            quick: a.has("--quick"),
+            seed: a.num("--seed", .., 1)?,
+            out: a.get("--out").unwrap_or("results/BENCH_redteam.json").to_owned(),
+            assert_families_min: a.opt("--assert-families-min", ..)?,
+            assert_detections_min: a.opt("--assert-detections-min", ..)?,
+            assert_undetected_min: a.opt("--assert-undetected-min", ..)?,
+        })
+    })
 }
 
 /// Latency distribution over the detected candidates of one family.
@@ -125,13 +105,10 @@ fn family_json(f: &FamilyReport) -> String {
         .finish()
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
+        Err(msg) => return cli::exit(&msg, USAGE),
     };
     let cfg = CampaignConfig {
         seed: args.seed,
@@ -205,32 +182,17 @@ fn main() {
         .u64("detections", detections)
         .u64("undetected", undetected)
         .finish();
-    if let Some(dir) = std::path::Path::new(&args.out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create results dir");
-        }
-    }
-    std::fs::write(&args.out, format!("{json}\n")).expect("write results json");
+    cli::write_out(&args.out, &format!("{json}\n")).expect("write results json");
     println!("wrote {}", args.out);
 
     let families_exercised =
         report.families.iter().filter(|f| !f.evaluated.is_empty()).count() as u64;
-    if let Some(min) = args.assert_families_min {
-        if families_exercised < min {
-            eprintln!("redteambench: {families_exercised} families exercised, below floor {min}");
-            std::process::exit(1);
-        }
+    let floors = cli::floor("families exercised", families_exercised, args.assert_families_min)
+        .and(cli::floor("detections", detections, args.assert_detections_min))
+        .and(cli::floor("undetected candidates", undetected, args.assert_undetected_min));
+    if let Err(msg) = floors {
+        eprintln!("redteambench: {msg}");
+        return ExitCode::FAILURE;
     }
-    if let Some(min) = args.assert_detections_min {
-        if detections < min {
-            eprintln!("redteambench: {detections} detections, below floor {min}");
-            std::process::exit(1);
-        }
-    }
-    if let Some(min) = args.assert_undetected_min {
-        if undetected < min {
-            eprintln!("redteambench: {undetected} undetected candidates, below floor {min}");
-            std::process::exit(1);
-        }
-    }
+    ExitCode::SUCCESS
 }

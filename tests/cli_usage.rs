@@ -196,3 +196,33 @@ fn redteambench_rejects_unknown_and_malformed_flags() {
     let (ok, out, _) = run(bin, &["--help"]);
     assert!(ok && out.contains("USAGE") && out.contains("--seed"), "{out}");
 }
+
+/// A network echo server: answers each request with its own bytes.
+const ECHO: &str = "
+main:
+    la   s0, rxbuf
+serve:
+    mv   a0, s0
+    li   a1, 64
+    syscall 1            # net_recv -> a0 = length
+    mv   a1, a0
+    mv   a0, s0
+    syscall 2            # net_send
+    j    serve
+
+.data
+rxbuf: .space 64
+";
+
+#[test]
+fn ir32_run_accepts_flags_before_the_file() {
+    // `--req` used to be taken for the file name when it came first.
+    let bin = env!("CARGO_BIN_EXE_ir32");
+    let dir = indra::persist::ScratchDir::new("cli-echo").expect("scratch dir");
+    let prog = dir.path().join("echo.s");
+    std::fs::write(&prog, ECHO).expect("write the program");
+    let prog = prog.to_str().expect("utf-8 path");
+    let (ok, out, err) = run(bin, &["run", "--req", "hi", prog]);
+    assert!(ok, "{err}");
+    assert!(out.contains(r#"response 0: 2 bytes: "hi""#), "{out}");
+}
