@@ -11,7 +11,7 @@
 //!
 //! Four fault families, mirroring what a real fleet suffers:
 //!
-//! * **kills** — the shard thread panics at a run-slice boundary
+//! * **kills** — the shard thread panics between two requests
 //!   (`panic_any` with a [`ChaosPanic`] payload the supervisor's panic
 //!   hook silences).
 //! * **stalls** — the shard thread stops heartbeating and sleeps; the
@@ -21,20 +21,19 @@
 //!   bit-flipped *before* the kill, exercising persist's
 //!   longest-valid-prefix recovery end-to-end.
 //! * **guest bursts** — `IndraSystem::inject_fault` volleys against the
-//!   simulated service. Bursts are part of the *simulated* history:
-//!   their position is persisted in the shard's progress blob
-//!   (`chaos_cursor`) so a revival replays them at the identical served
-//!   count, keeping the guest trajectory byte-deterministic.
+//!   simulated service, injected right after the request that brings
+//!   the served count to the burst's threshold. Bursts are part of the
+//!   *simulated* history: the runner logs them, and the count already
+//!   absorbed is a function of the served count, so a revival replays
+//!   exactly the ones its checkpoint lacks.
 //!
-//! A **poison** request is the fifth family: delivering one fixed
-//! schedule index panics the shard every time it is replayed, until the
-//! supervisor notices the repeat offender and quarantines it — the
-//! fleet analogue of the paper's rollback *past* the malicious request
-//! (§3.3.2).
+//! A **poison** request is the fifth family: every guarded delivery of
+//! one fixed schedule index panics. The shard runner's vote catches
+//! both deaths and tombstones it — the fleet analogue of the paper's
+//! rollback *past* the malicious request (§3.3.2).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use indra_rng::{derive_seed, Rng};
@@ -151,7 +150,7 @@ impl ChaosConfig {
 /// What a host-level chaos event does to the shard thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HostEventKind {
-    /// Panic at the next run-slice boundary.
+    /// Panic before the next request.
     Kill,
     /// Stop heartbeating (sleep) until the supervisor cancels us.
     Stall,
@@ -160,8 +159,8 @@ pub enum HostEventKind {
 }
 
 /// One host-level event, triggered the first time the shard's served
-/// count reaches `at_served` at a run-slice boundary. One-shot: the
-/// trigger flag survives revival, so a replayed trajectory does not
+/// count has reached `at_served` when the next request is due. One-shot:
+/// the trigger flag survives revival, so a replayed trajectory does not
 /// re-fire it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostEvent {
@@ -172,9 +171,8 @@ pub struct HostEvent {
 }
 
 /// One guest-level fault volley, fired when the served count reaches
-/// `at_served`. Unlike host events, bursts re-fire on replay (tracked
-/// by the persisted `chaos_cursor`) because they are part of the
-/// simulated history.
+/// `at_served`. Unlike host events, bursts re-fire on replay because
+/// they are part of the simulated history.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GuestBurst {
     /// Served-request threshold.
@@ -206,13 +204,14 @@ pub struct StealthEvent {
 
 /// A shard's complete chaos schedule — a pure function of
 /// `(chaos seed, fleet config, shard index)`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardChaosPlan {
     /// Host events, sorted by threshold.
     pub events: Vec<HostEvent>,
     /// Guest bursts, sorted by threshold.
     pub bursts: Vec<GuestBurst>,
-    /// Quarantinable schedule index whose delivery panics the shard.
+    /// Schedule index whose every delivery panics (the runner
+    /// tombstones it).
     pub poison: Option<u64>,
     /// Silent corruptions, sorted by threshold (replica runner only).
     pub stealth: Vec<StealthEvent>,
@@ -228,12 +227,7 @@ pub fn plan_for_shard(chaos: &ChaosConfig, cfg: &FleetConfig, shard: usize) -> S
     let mut rng = Rng::seed_from_u64(derive_seed(chaos.seed, shard as u64));
     let quota = u64::from(cfg.requests_per_shard);
     if quota < 4 || chaos.is_off() {
-        return ShardChaosPlan {
-            events: Vec::new(),
-            bursts: Vec::new(),
-            poison: None,
-            stealth: Vec::new(),
-        };
+        return ShardChaosPlan::default();
     }
 
     // Candidate thresholds 1..quota-1, partially Fisher-Yates shuffled;
@@ -288,12 +282,7 @@ pub fn plan_for_shard(chaos: &ChaosConfig, cfg: &FleetConfig, shard: usize) -> S
 /// must not spam stderr) while delegating every *real* panic to the
 /// previous hook.
 #[derive(Debug)]
-pub(crate) struct ChaosPanic {
-    /// Which shard the event targeted.
-    pub shard: usize,
-    /// Event family, for the supervisor's crash log.
-    pub what: &'static str,
-}
+pub(crate) struct ChaosPanic;
 
 /// Installs the [`ChaosPanic`]-filtering panic hook, once per process.
 pub(crate) fn install_chaos_panic_hook() {
@@ -308,28 +297,14 @@ pub(crate) fn install_chaos_panic_hook() {
     });
 }
 
-/// Renders a caught panic payload for the supervision log.
-pub(crate) fn describe_panic(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(c) = payload.downcast_ref::<ChaosPanic>() {
-        format!("chaos {} (shard {})", c.what, c.shard)
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "unknown panic payload".to_owned()
-    }
-}
-
-/// One incarnation's view of the shard's chaos plan: the plan itself
-/// plus the *shared* one-shot trigger flags that survive revival.
-#[derive(Debug, Clone)]
+/// One shard's chaos plan plus the *shared* one-shot trigger flags
+/// that survive revival.
+#[derive(Debug)]
 pub(crate) struct ChaosRuntime {
-    pub shard: usize,
-    pub plan: Arc<ShardChaosPlan>,
+    pub plan: ShardChaosPlan,
     /// One flag per host event, shared across every incarnation of the
     /// shard so a revived trajectory never re-fires a one-shot fault.
-    pub fired: Arc<Vec<AtomicBool>>,
+    pub fired: Vec<AtomicBool>,
     /// Resolved stall duration (the supervisor substitutes its own
     /// deadline-derived default for `stall_ms == 0`).
     pub stall_ms: u64,
@@ -338,15 +313,14 @@ pub(crate) struct ChaosRuntime {
 }
 
 impl ChaosRuntime {
-    pub fn new(
-        shard: usize,
-        plan: Arc<ShardChaosPlan>,
-        fired: Arc<Vec<AtomicBool>>,
-        stall_ms: u64,
-        wal_path: Option<PathBuf>,
-    ) -> ChaosRuntime {
-        debug_assert_eq!(plan.events.len(), fired.len());
-        ChaosRuntime { shard, plan, fired, stall_ms, wal_path }
+    pub fn new(plan: ShardChaosPlan, stall_ms: u64, wal_path: Option<PathBuf>) -> ChaosRuntime {
+        let fired = plan.events.iter().map(|_| AtomicBool::new(false)).collect();
+        ChaosRuntime { plan, fired, stall_ms, wal_path }
+    }
+
+    /// Host events that have fired.
+    pub fn fired_count(&self) -> u64 {
+        self.fired.iter().filter(|f| f.load(Ordering::SeqCst)).count() as u64
     }
 
     /// Fires every due, unfired host event. Kills and tears panic (the
@@ -354,20 +328,18 @@ impl ChaosRuntime {
     /// in short slices until it elapses or `cancel` is raised. Returns
     /// `true` when the incarnation was cancelled mid-stall and should
     /// exit quietly.
-    pub fn fire_host(&self, served: u64, cancel: Option<&Arc<AtomicBool>>) -> bool {
+    pub fn fire_host(&self, served: u64, cancel: Option<&AtomicBool>) -> bool {
         for (i, ev) in self.plan.events.iter().enumerate() {
             if served < ev.at_served || self.fired[i].swap(true, Ordering::SeqCst) {
                 continue;
             }
             match ev.kind {
-                HostEventKind::Kill => {
-                    std::panic::panic_any(ChaosPanic { shard: self.shard, what: "kill" })
-                }
+                HostEventKind::Kill => std::panic::panic_any(ChaosPanic),
                 HostEventKind::WalTear => {
                     if let Some(path) = &self.wal_path {
                         tear_wal_tail(path);
                     }
-                    std::panic::panic_any(ChaosPanic { shard: self.shard, what: "wal-tear" })
+                    std::panic::panic_any(ChaosPanic)
                 }
                 HostEventKind::Stall => {
                     let until = Instant::now() + Duration::from_millis(self.stall_ms);
@@ -385,17 +357,6 @@ impl ChaosRuntime {
             }
         }
         false
-    }
-
-    /// The poison schedule index, if this shard has one.
-    pub fn poison(&self) -> Option<u64> {
-        self.plan.poison
-    }
-
-    /// Panics with the poison payload — called by the shard loop when
-    /// it is about to deliver the poison request.
-    pub fn poison_strike(&self) -> ! {
-        std::panic::panic_any(ChaosPanic { shard: self.shard, what: "poison" })
     }
 }
 

@@ -1,19 +1,18 @@
 //! The one shard engine: a deployed [`IndraSystem`] cell plus the fixed
 //! drive discipline every driver shares.
 //!
-//! The fleet shard and every replica cell of the closed-loop
-//! `indra_replica::ShardRunner` (which `fleetd` drives too) build their
-//! system here, from an [`EngineConfig`], and both collapse it into a
-//! [`ShardOutput`] through [`ShardEngine::output`]. The closed-loop
-//! runner also uses [`ShardEngine::deliver`]: deliver one request, run
-//! the system to idle under a fixed slice size and per-request step
-//! budget, drain the responses. The fleet shard keeps its own open-loop
-//! arrival loop on top of [`ShardEngine::system_mut`].
+//! Every replica cell of the [`crate::ShardRunner`] — which drives each
+//! fleet shard and each `fleetd` shard — builds its system here, from an
+//! [`EngineConfig`], delivers through [`ShardEngine::deliver`] (deliver
+//! one request, run the system to idle under a fixed slice size and
+//! per-request step budget, drain the responses) and collapses into a
+//! [`ShardOutput`] through [`ShardEngine::output`].
 //!
-//! A closed-loop engine's trajectory is a pure function of the ordered
-//! delivered byte sequence plus the [`EngineConfig`] — no sim arrival
-//! clock is involved — which is what makes the daemon's record/replay
-//! and the replicas' voting byte-identical by construction.
+//! An engine's trajectory is a pure function of the ordered delivered
+//! byte sequence (plus any injected faults) and the [`EngineConfig`] —
+//! no sim arrival clock is involved — which is what makes the daemon's
+//! record/replay, a fleet resume and the replicas' voting
+//! byte-identical by construction.
 
 use std::time::Instant;
 
@@ -164,7 +163,6 @@ pub enum DeliverOutcome {
 pub struct ShardEngine {
     sys: IndraSystem,
     slice: u64,
-    per_request_insns: u64,
     budget_slices: u64,
     started: Instant,
 }
@@ -207,14 +205,7 @@ impl ShardEngine {
         // an undetected kill) exhausts it.
         let slice = cfg.run_slice_steps.max(1);
         let budget_slices = (per_request_insns * 16).div_ceil(slice) + 2;
-        Ok(ShardEngine { sys, slice, per_request_insns, budget_slices, started: Instant::now() })
-    }
-
-    /// Nominal instructions one request of the deployed workload costs
-    /// (floored at 50k) — the unit every step budget is a multiple of.
-    #[must_use]
-    pub fn per_request_insns(&self) -> u64 {
-        self.per_request_insns
+        Ok(ShardEngine { sys, slice, budget_slices, started: Instant::now() })
     }
 
     /// Delivers one request and runs the system to idle under the fixed
@@ -273,9 +264,8 @@ impl ShardEngine {
         &self.sys
     }
 
-    /// Mutable access to the simulated system, for drivers with their
-    /// own run loop (the fleet shard's open-loop arrivals) and for
-    /// fault injection.
+    /// Mutable access to the simulated system, for fault injection and
+    /// stealth corruption.
     pub fn system_mut(&mut self) -> &mut IndraSystem {
         &mut self.sys
     }

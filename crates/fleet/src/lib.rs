@@ -4,18 +4,24 @@
 //! The paper's consolidation argument (§3.5, Fig. 2) is that one
 //! physical multicore hosts *many* resurrector/resurrectee cells, each
 //! running an independent network service. This crate scales the
-//! simulator to that shape: a fleet of [`crate::shard`]s — each a
-//! complete [`indra_core::IndraSystem`] — runs across OS threads, each
-//! driven by its own deterministic open-loop traffic schedule (benign
-//! requests with a configurable fraction of real exploit payloads),
-//! optionally under periodic hardware-fault injection.
+//! simulator to that shape: a fleet of shards — each a complete
+//! [`indra_core::IndraSystem`] — runs across OS threads, each fed its
+//! own deterministic traffic schedule (benign requests with a
+//! configurable fraction of real exploit payloads), optionally under
+//! periodic hardware-fault injection.
 //!
-//! Per-request latency samples stream over a channel to an aggregator
-//! that folds them into a log-bucketed [`indra_bench::Histogram`] and
-//! produces a fleet-wide [`FleetReport`]: throughput (requests per
-//! million simulated cycles and wall-clock requests per second),
-//! benign-service ratio, detection and recovery counts, and latency
-//! percentiles.
+//! Every shard runs through one driver (`shard::drive_shard`) over one
+//! [`ShardRunner`] ([`runner`]): K ≥ 1 [`ReplicaCell`]s ([`cell`]) on
+//! the one [`ShardEngine`] ([`engine`]), one vote and one revival
+//! routine, with [`DigestCache`] ([`digest`]) state digests for the
+//! vote. [`run_fleet`], [`resume_fleet`], [`run_fleet_supervised`] and
+//! [`run_fleet_replicated`] are entry points over that driver, and all
+//! end in one aggregation: each shard's latency samples fold into a
+//! log-bucketed [`indra_bench::Histogram`] and a fleet-wide
+//! [`FleetReport`]: throughput (requests per million simulated cycles
+//! and wall-clock requests per second), benign-service ratio, detection
+//! and recovery counts, and latency percentiles. `fleetd` drives the
+//! same runner over its ingress log.
 //!
 //! ## Determinism contract
 //!
@@ -36,27 +42,33 @@
 //! assert_eq!(report.stats.true_detections, report.stats.attacks_sent);
 //! ```
 
+pub mod cell;
 mod chaos;
+pub mod digest;
 pub mod engine;
 mod executor;
 mod persist;
 mod report;
+pub mod runner;
 mod shard;
 mod supervisor;
 pub mod sweep;
 
+pub use cell::ReplicaCell;
 pub use chaos::{
     plan_for_shard, ChaosConfig, GuestBurst, HostEvent, HostEventKind, ShardChaosPlan, StealthEvent,
 };
+pub use digest::{word_fold, word_fold_u64, DigestCache, StateDigest, FOLD_SEED};
 pub use engine::{DeliverOutcome, EngineConfig, ShardEngine};
-pub use executor::{aggregate_stats, availability, run_fleet};
-pub use persist::{resume_fleet, RestoredShard, ShardProgress};
+pub use executor::{
+    aggregate_stats, availability, run_fleet, run_fleet_replicated, ReplicaOptions,
+};
+pub use persist::resume_fleet;
 pub use report::{
     FleetReport, FleetStats, ShardHostPerf, ShardSummary, ShardSupervision, SupervisionStats,
 };
-pub use shard::{
-    run_shard, shard_schedule, BeatMsg, SampleMsg, ShardError, ShardMsg, ShardOutput, ShardPlan,
-};
+pub use runner::{read_cursor, Disposition, GroupCounters, ShardRunner};
+pub use shard::{shard_schedule, ShardError, ShardOutput, ShardPlan};
 pub use supervisor::{run_fleet_supervised, SupervisorConfig};
 
 use indra_core::SchemeKind;
@@ -80,8 +92,12 @@ pub struct FleetConfig {
     pub scale: u32,
     /// Attack probability per request, in ‰ (0–1000).
     pub attack_per_mille: u32,
-    /// Mean inter-arrival gap of the open-loop schedule, in resurrectee
-    /// cycles.
+    /// Mean inter-arrival gap of the traffic schedule, in resurrectee
+    /// cycles. The gap draws share the schedule's RNG, so the value
+    /// still seeds which requests the schedule holds; the arrival cycles
+    /// themselves never reach [`FleetStats`] — a shard takes each
+    /// request when the previous one is done, and an idle core would
+    /// collapse any gap anyway.
     pub mean_gap_cycles: u64,
     /// Master seed; shard `i` derives its own via
     /// [`indra_rng::derive_seed`].
@@ -92,11 +108,10 @@ pub struct FleetConfig {
     pub fifo_entries: usize,
     /// CAM filter entries per shard machine.
     pub cam_entries: usize,
-    /// Inject a hardware fault after every N served requests
-    /// (`None` = no fault injection).
+    /// Inject a hardware fault right after the request that brings the
+    /// served count to each multiple of N (`None` = no fault injection).
     pub fault_every: Option<u32>,
-    /// Instruction-budget granularity of the run loop; smaller slices
-    /// stream samples sooner at more scheduling overhead.
+    /// Instruction-budget granularity of the engine's deliver loop.
     pub run_slice_steps: u64,
     /// Include the dormant-pointer attack in the mix. Off by default:
     /// dormant plants are (by design) detected only when a *later*
@@ -133,8 +148,8 @@ pub struct FleetConfig {
     /// job — benign requests that would be dropped are retried).
     pub compartments: bool,
     /// Graceful-shutdown flag (e.g. raised by a SIGINT/SIGTERM handler).
-    /// Checked at every run-slice boundary — a checkpoint boundary — so
-    /// a shutdown drains cleanly: the store is never torn mid-write and
+    /// Checked between requests — where checkpoints are cut — so a
+    /// shutdown drains cleanly: the store is never torn mid-write and
     /// the run is resumable. The interrupted run reports `completed =
     /// false` on unfinished shards. Never persisted to `fleet.meta`
     /// (like `halt_after_checkpoints`, it describes this process, not

@@ -1,5 +1,4 @@
-//! Fleet-level durability: checkpoint metadata, shard progress blobs
-//! and crash-safe resume.
+//! Fleet-level durability: checkpoint metadata and crash-safe resume.
 //!
 //! The snapshot machinery in `indra-persist` captures a frozen
 //! [`indra_core::SystemState`]; this module adds the two pieces the
@@ -9,10 +8,12 @@
 //!   `--resume <dir>` needs no other flags. Determinism makes this
 //!   sufficient: the schedule, images and seeds are all pure functions
 //!   of the config.
-//! * a per-shard progress blob (stored opaquely alongside each
-//!   snapshot) carrying the harness-side loop variables that live
-//!   outside the simulated system: the schedule cursor, the
-//!   fault-injection bookkeeping and the remaining step budget.
+//! * [`load_checkpoint`] — a shard's last valid checkpoint as the state
+//!   plus the runner cursor stored as its progress blob. The cursor is
+//!   all the driver needs: the fault count and checkpoint mark follow
+//!   from the restored served count. A store written before fleet
+//!   shards ran through the shard runner carries a 48-byte loop-state
+//!   blob instead; it is rejected as [`PersistError::Corrupt`].
 //!
 //! [`resume_fleet`] reopens a store, rebuilds the config, restores
 //! every shard that managed to checkpoint (shards that never reached
@@ -27,64 +28,9 @@ use indra_persist::{PersistError, SnapshotStore, WireReader, WireWriter};
 use indra_workloads::ServiceApp;
 
 use crate::engine::{from_tag, tag_of, SCHEMES};
-use crate::executor::run_fleet_with;
+use crate::executor::run_fleet_from;
+use crate::runner::read_cursor;
 use crate::{FleetConfig, FleetReport};
-
-/// Harness-side loop state of one shard at a checkpoint boundary —
-/// everything `run_shard` tracks outside the simulated system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardProgress {
-    /// Schedule entries already consumed (delivered into the system).
-    pub cursor: u64,
-    /// Hardware faults injected so far.
-    pub faults_injected: u64,
-    /// `report().served` when the last fault was injected.
-    pub served_at_last_fault: u64,
-    /// Remaining instruction-step budget.
-    pub steps_left: u64,
-    /// `report().served` when this checkpoint was taken.
-    pub served_at_last_ckpt: u64,
-    /// Guest-level chaos bursts already injected (see
-    /// [`crate::chaos::GuestBurst`]): bursts are simulated history, so
-    /// a revival must replay exactly the ones the checkpoint had not
-    /// yet absorbed. Zero outside chaos runs.
-    pub chaos_cursor: u64,
-}
-
-/// A shard's restored starting point: the thawed system plus the
-/// harness loop state that goes with it.
-#[derive(Debug)]
-pub struct RestoredShard {
-    /// The frozen system at the last valid checkpoint.
-    pub state: SystemState,
-    /// Harness loop variables at that checkpoint.
-    pub progress: ShardProgress,
-}
-
-pub(crate) fn encode_progress(p: &ShardProgress) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u64(p.cursor);
-    w.u64(p.faults_injected);
-    w.u64(p.served_at_last_fault);
-    w.u64(p.steps_left);
-    w.u64(p.served_at_last_ckpt);
-    w.u64(p.chaos_cursor);
-    w.finish()
-}
-
-pub(crate) fn decode_progress(bytes: &[u8]) -> Result<ShardProgress, PersistError> {
-    let mut r = WireReader::new(bytes);
-    let p = ShardProgress {
-        cursor: r.u64("progress cursor")?,
-        faults_injected: r.u64("progress faults")?,
-        served_at_last_fault: r.u64("progress fault mark")?,
-        steps_left: r.u64("progress budget")?,
-        served_at_last_ckpt: r.u64("progress ckpt mark")?,
-        chaos_cursor: r.u64("progress chaos cursor")?,
-    };
-    r.expect_exhausted("progress trailing bytes")?;
-    Ok(p)
-}
 
 /// Serializes the deterministic portion of a [`FleetConfig`] for
 /// `fleet.meta`. `store_dir` and `halt_after_checkpoints` are excluded
@@ -149,22 +95,37 @@ pub(crate) fn decode_meta(bytes: &[u8]) -> Result<FleetConfig, PersistError> {
     Ok(cfg)
 }
 
+/// Shard `shard`'s last valid checkpoint in `store` (base snapshot +
+/// journal replay) as the state and the runner cursor it was cut at;
+/// `None` when the shard never checkpointed. Resume and the
+/// supervisor's revival both start a shard from here.
+pub(crate) fn load_checkpoint(
+    store: &SnapshotStore,
+    shard: usize,
+) -> Result<Option<(SystemState, u64)>, PersistError> {
+    store
+        .load_shard(shard)?
+        .map(|loaded| Ok((loaded.state, read_cursor(&loaded.progress)?)))
+        .transpose()
+}
+
 /// Resumes a fleet from a checkpoint directory and runs it to the
 /// original quota.
 ///
 /// Reads `fleet.meta`, recovers every shard's last valid checkpoint
-/// (base snapshot + journal replay), and re-runs the fleet with those
-/// shards thawed mid-flight; shards with no checkpoint on disk start
-/// from scratch. Because every shard is deterministic, the resulting
+/// (`load_checkpoint`), and re-runs the fleet with those shards
+/// thawed mid-flight; shards with no checkpoint on disk start from
+/// scratch. Because every shard is deterministic, the resulting
 /// [`FleetStats`](crate::FleetStats) — and its JSON — are byte-identical
 /// to the run that was killed, had it been left to finish.
 ///
 /// # Errors
 ///
 /// Typed [`PersistError`] when the directory, metadata, a base
-/// snapshot or a progress blob is unreadable or corrupt. A torn
-/// journal tail is *not* an error (that is the normal crash shape); a
-/// config whose shard count disagrees with the on-disk layout is.
+/// snapshot or a progress blob is unreadable or corrupt — a progress
+/// blob that is not a runner cursor included. A torn journal tail is
+/// *not* an error (that is the normal crash shape); a config whose
+/// shard count disagrees with the on-disk layout is.
 ///
 /// # Panics
 ///
@@ -176,17 +137,9 @@ pub fn resume_fleet(dir: impl AsRef<Path>) -> Result<FleetReport, PersistError> 
     let mut cfg = decode_meta(&store.read_meta()?)?;
     cfg.store_dir = Some(dir.to_string_lossy().into_owned());
 
-    let mut restored: Vec<Option<RestoredShard>> = Vec::new();
-    for shard in 0..cfg.shards {
-        restored.push(match store.load_shard(shard)? {
-            Some(loaded) => Some(RestoredShard {
-                state: loaded.state,
-                progress: decode_progress(&loaded.progress)?,
-            }),
-            None => None,
-        });
-    }
-    Ok(run_fleet_with(&cfg, restored))
+    let restored =
+        (0..cfg.shards).map(|shard| load_checkpoint(&store, shard)).collect::<Result<_, _>>()?;
+    Ok(run_fleet_from(&cfg, restored))
 }
 
 #[cfg(test)]
@@ -240,19 +193,5 @@ mod tests {
             "03000000000000000200000002050c000000280000007d00000050c3000000000000eef17a1d00000000\
              04200000000000000020000000000000000105000000400d0300000000000004000000010101"
         );
-    }
-
-    #[test]
-    fn progress_roundtrip() {
-        let p = ShardProgress {
-            cursor: 17,
-            faults_injected: 2,
-            served_at_last_fault: 12,
-            steps_left: 1_000_000,
-            served_at_last_ckpt: 16,
-            chaos_cursor: 3,
-        };
-        assert_eq!(decode_progress(&encode_progress(&p)).unwrap(), p);
-        assert!(decode_progress(&[1, 2, 3]).is_err());
     }
 }

@@ -1,28 +1,36 @@
 //! One shard: a complete Fig. 2 cell (resurrector + resurrectee running
-//! one service) driven by its own open-loop traffic schedule to a
-//! request quota.
+//! one service) fed its deterministic schedule to a request quota, and
+//! the one driver every fleet entry point runs it through.
 //!
-//! A shard is deliberately a *whole* [`IndraSystem`] rather than one
-//! core of a shared machine: the paper's consolidation topology puts
-//! several resurrectees under one resurrector, and the fleet replicates
-//! that cell per OS thread so cells never contend on simulated state.
-//! Everything a shard does is a pure function of its [`ShardPlan`]
-//! (derived seed, app, quota), which is what makes the fleet aggregate
-//! reproducible under any thread schedule.
+//! A shard is deliberately a *whole* [`IndraSystem`](indra_core::IndraSystem)
+//! rather than one core of a shared machine: the paper's consolidation
+//! topology puts several resurrectees under one resurrector, and the
+//! fleet replicates that cell per OS thread so cells never contend on
+//! simulated state. Everything a shard does is a pure function of its
+//! [`ShardPlan`] (derived seed, app, quota), which is what makes the
+//! fleet aggregate reproducible under any thread schedule.
+//!
+//! [`drive_shard`] feeds the schedule to a [`ShardRunner`] in seq order.
+//! The schedule's arrival cycles never reach the trajectory: a sample's
+//! cycles start when the service takes the request, and an idle core
+//! collapses any gap, so the runner's one-request-at-a-time delivery is
+//! the same trajectory an open-loop arrival clock would give. Between
+//! requests the driver checks every cadence against the primary's served
+//! count: faults and guest bursts (injected right after the request that
+//! reaches their threshold), checkpoints, `halt_after_checkpoints`, the
+//! shutdown flag and host chaos events.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
 
-use indra_core::{IndraSystem, RunReport, RunState};
-use indra_persist::{CheckpointReceipt, PersistError, SnapshotStore};
+use indra_core::{RunReport, SystemState};
+use indra_persist::{CheckpointReceipt, IngressKind, IngressRecord, PersistError, SnapshotStore};
 use indra_workloads::{
-    build_app_scaled, detectable_attack_suite, standard_attack_suite, OpenLoopTraffic,
-    ScheduleCursor, ServiceApp, TimedRequest,
+    build_app_scaled, detectable_attack_suite, standard_attack_suite, OpenLoopTraffic, ServiceApp,
+    TimedRequest,
 };
 
-use crate::chaos::ChaosRuntime;
-use crate::engine::ShardEngine;
-use crate::persist::{encode_progress, RestoredShard, ShardProgress};
+use crate::chaos::{ChaosRuntime, GuestBurst};
+use crate::runner::{GroupCounters, ShardRunner};
 use crate::{FleetConfig, ShardHostPerf, ShardSummary};
 
 /// A typed failure of the shard *harness* itself — as opposed to a
@@ -52,42 +60,6 @@ impl std::error::Error for ShardError {}
 impl From<PersistError> for ShardError {
     fn from(e: PersistError) -> ShardError {
         ShardError::Persist(e)
-    }
-}
-
-/// Sentinel for "not delivering anything right now" in
-/// [`ShardHarness::delivering`].
-pub(crate) const NOT_DELIVERING: u64 = u64::MAX;
-
-/// Supervision hooks threaded into the shard loop. The default (plain
-/// `run_fleet`) is inert: no cancellation, nothing quarantined, no
-/// chaos.
-#[derive(Debug, Default)]
-pub(crate) struct ShardHarness {
-    /// Cooperative cancellation for this incarnation: checked at every
-    /// run-slice boundary (and inside chaos stalls); when raised the
-    /// loop returns quietly without emitting [`ShardMsg::Done`].
-    pub cancel: Option<Arc<AtomicBool>>,
-    /// Quarantined schedule indices — consumed but never delivered.
-    pub quarantined: Vec<u64>,
-    /// The schedule index currently being delivered ([`NOT_DELIVERING`]
-    /// otherwise). The supervisor reads it after a crash to attribute
-    /// the death to a specific request: two consecutive deaths of one
-    /// shard attributed to the same index mark that request as poison.
-    pub delivering: Option<Arc<AtomicU64>>,
-    /// This shard's chaos schedule, when running under a chaos profile.
-    pub chaos: Option<ChaosRuntime>,
-}
-
-impl ShardHarness {
-    fn cancelled(&self) -> bool {
-        self.cancel.as_ref().is_some_and(|c| c.load(Ordering::SeqCst))
-    }
-
-    fn set_delivering(&self, index: u64) {
-        if let Some(d) = &self.delivering {
-            d.store(index, Ordering::SeqCst);
-        }
     }
 }
 
@@ -195,39 +167,6 @@ impl ShardOutput {
     }
 }
 
-/// A per-request latency observation streamed to the aggregator while
-/// the shard is still running.
-#[derive(Debug, Clone, Copy)]
-pub struct SampleMsg {
-    /// Originating shard.
-    pub shard: usize,
-    /// Delivery-to-response resurrectee cycles.
-    pub cycles: u64,
-}
-
-/// A progress heartbeat: emitted at every run-slice boundary so a
-/// supervisor can tell a slow shard from a hung one.
-#[derive(Debug, Clone, Copy)]
-pub struct BeatMsg {
-    /// Originating shard.
-    pub shard: usize,
-    /// Schedule entries consumed so far (delivered or quarantined).
-    pub cursor: u64,
-    /// Requests served so far.
-    pub served: u64,
-}
-
-/// Messages a shard sends over the aggregation channel.
-#[derive(Debug)]
-pub enum ShardMsg {
-    /// A served request's latency (streamed as it happens).
-    Sample(SampleMsg),
-    /// A run-slice-boundary heartbeat (ignored by the plain executor).
-    Beat(BeatMsg),
-    /// The shard finished (or gave up); terminal message.
-    Done(Box<ShardOutput>),
-}
-
 /// Builds the deterministic traffic schedule for `plan`.
 #[must_use]
 pub fn shard_schedule(cfg: &FleetConfig, plan: &ShardPlan) -> Vec<TimedRequest> {
@@ -247,246 +186,145 @@ pub fn shard_schedule(cfg: &FleetConfig, plan: &ShardPlan) -> Vec<TimedRequest> 
     .generate(&image)
 }
 
-/// Runs one shard to completion, streaming samples through `emit`.
-///
-/// `emit` receives every served request's latency as it is observed;
-/// the terminal [`ShardOutput`] still carries the authoritative
-/// [`RunReport`] so the aggregator never depends on delivery order.
-///
-/// # Panics
-///
-/// Panics when the harness itself fails (deploy or checkpoint-store
-/// errors) — use the supervised executor for typed handling.
-pub fn run_shard(cfg: &FleetConfig, plan: ShardPlan, emit: impl FnMut(ShardMsg)) {
-    let shard = plan.shard;
-    run_shard_inner(cfg, plan, None, ShardHarness::default(), emit)
-        .unwrap_or_else(|e| panic!("shard {shard}: {e}"));
+/// Faults a shard has injected once its primary has served `served`
+/// requests: one per `fault_every` served, plus every guest burst whose
+/// threshold is reached. Served grows by at most one per request and the
+/// driver injects right after each request, so the count at any request
+/// boundary — a checkpoint's included — is this function of the served
+/// count alone.
+pub(crate) fn faults_through(cfg: &FleetConfig, bursts: &[GuestBurst], served: u64) -> u64 {
+    let periodic = cfg.fault_every.filter(|&n| n > 0).map_or(0, |n| served / u64::from(n));
+    let burst: u64 =
+        bursts.iter().filter(|b| b.at_served <= served).map(|b| u64::from(b.faults)).sum();
+    periodic + burst
 }
 
-/// The shard loop, optionally thawed from a checkpoint.
+/// How an entry point drives its shards: the knobs that are not part of
+/// the deterministic [`FleetConfig`].
+#[derive(Clone, Copy)]
+pub(crate) struct ShardDrive<'a> {
+    /// Replica cells per shard (1 = no vote).
+    pub replicas: usize,
+    /// Proactive rejuvenation cadence, in admitted requests.
+    pub rejuvenate_every: Option<u64>,
+    /// Checkpoint cadence in served requests (0 = none).
+    pub cut_every: u32,
+    /// Where checkpoints go; `None` keeps them as in-memory freezes.
+    pub store: Option<&'a SnapshotStore>,
+    /// This shard's chaos plan and one-shot flags.
+    pub chaos: Option<&'a ChaosRuntime>,
+    /// Cooperative cancellation of this incarnation.
+    pub cancel: Option<&'a AtomicBool>,
+    /// Called before every request with the deaths the runner has
+    /// caught so far: the supervisor's heartbeat.
+    pub beat: &'a (dyn Fn(u64) + Sync),
+}
+
+/// What a finished shard hands its entry point.
+pub(crate) type Driven = (ShardOutput, GroupCounters);
+
+/// The one shard driver: feeds shard `shard`'s schedule, from the
+/// `restored` checkpoint (state + cursor) or from genesis, to a
+/// [`ShardRunner`] in seq order. Returns `None` when `drive.cancel` was
+/// raised — a newer incarnation owns the result.
 ///
-/// A `restored` shard rebuilds the same system (same config, same
-/// deployed image — both pure functions of the plan), overwrites its
-/// state with the frozen capture and re-enters the loop with the saved
-/// harness cursors; from there execution is cycle-for-cycle identical
-/// to the run that was killed. Samples already in the restored report
-/// are re-streamed so a fresh aggregator sees the complete history.
-pub(crate) fn run_shard_inner(
+/// A restored shard rebuilds the same system (same config, same deployed
+/// image — both pure functions of the plan) and overwrites it with the
+/// frozen capture; the fault count and checkpoint mark follow from the
+/// restored served count, so execution from there is cycle-for-cycle
+/// identical to the run that was killed.
+pub(crate) fn drive_shard(
     cfg: &FleetConfig,
-    plan: ShardPlan,
-    restored: Option<RestoredShard>,
-    harness: ShardHarness,
-    mut emit: impl FnMut(ShardMsg),
-) -> Result<(), ShardError> {
-    let schedule = shard_schedule(cfg, &plan);
-    let malicious: Vec<bool> = schedule.iter().map(|r| r.malicious).collect();
-    let mut engine = ShardEngine::new(&cfg.engine(plan.app))?;
-    let core = engine.system().service_cores()[0];
+    shard: usize,
+    drive: &ShardDrive<'_>,
+    restored: Option<(SystemState, u64)>,
+) -> Result<Option<Driven>, ShardError> {
+    let plan = cfg.plan(shard);
+    let mut records: Vec<IngressRecord> = (0u64..)
+        .zip(shard_schedule(cfg, &plan))
+        .map(|(seq, r)| IngressRecord {
+            seq,
+            kind: IngressKind::Request,
+            request_id: seq,
+            malicious: r.malicious,
+            data: r.data,
+        })
+        .collect();
+    let quota = records.len() as u64;
+    let attacks_sent = records.iter().filter(|r| r.malicious).count() as u64;
+    let start = restored.as_ref().map_or(0, |(_, cursor)| (*cursor).min(quota));
+    let tail = records.split_off(usize::try_from(start).expect("cursor fits"));
+    let (mut runner, _) = ShardRunner::replicated(
+        cfg.engine(plan.app),
+        shard,
+        drive.replicas,
+        drive.rejuvenate_every,
+        records,
+        restored,
+    )?;
+    let chaos = drive.chaos.map(|c| &c.plan);
+    runner.poison = chaos.and_then(|p| p.poison);
+    let bursts = chaos.map_or(&[][..], |p| &p.bursts[..]);
+    let mut stealth = chaos.map_or(&[][..], |p| &p.stealth[..]).iter().peekable();
+    let mut writer = drive.store.map(|s| s.shard_writer(shard)).transpose()?;
 
-    // Budget: a generous multiple of the engine's per-request work unit
-    // over the whole schedule.
-    let mut steps_left = engine.per_request_insns() * (malicious.len() as u64 + 4) * 8;
-
-    let mut queue = ScheduleCursor::new(schedule, harness.quarantined.clone());
-    let mut faults_injected = 0u64;
-    let mut served_at_last_fault = 0u64;
-    let mut served_at_last_ckpt = 0u64;
-    let mut chaos_cursor = 0u64;
-    if let Some(r) = &restored {
-        engine.restore(&r.state);
-        queue.seek(r.progress.cursor);
-        faults_injected = r.progress.faults_injected;
-        served_at_last_fault = r.progress.served_at_last_fault;
-        steps_left = r.progress.steps_left;
-        served_at_last_ckpt = r.progress.served_at_last_ckpt;
-        chaos_cursor = r.progress.chaos_cursor;
-    }
-
-    let sys = engine.system_mut();
-    let mut writer = match (&cfg.store_dir, cfg.checkpoint_every) {
-        (Some(dir), every) if every > 0 => {
-            let store = SnapshotStore::create(dir.as_str())?;
-            Some(store.shard_writer(plan.shard)?)
+    let mut last_cut = runner.report().served;
+    let mut faults = faults_through(cfg, bursts, last_cut);
+    let mut cuts = 0u64;
+    for rec in tail {
+        if drive.cancel.is_some_and(|c| c.load(Ordering::SeqCst)) {
+            return Ok(None);
         }
-        _ => None,
-    };
-    let mut ckpts_written = 0u64;
-    let mut wal = CheckpointReceipt::default();
-
-    // Starts at zero even when restored: samples already in the thawed
-    // report are re-streamed so a fresh aggregator sees the complete
-    // history (the supervisor ignores the stream and rebuilds from the
-    // final report instead, so it never double-counts).
-    let mut sample_cursor = 0usize;
-    let mut completed = true;
-
-    loop {
-        // Cooperative cancellation: the supervisor revoked this
-        // incarnation (hang recovery, or end-of-run cleanup). Exit
-        // without a Done — a newer incarnation owns the result.
-        if harness.cancelled() {
-            return Ok(());
-        }
-
-        // Graceful shutdown (signal handler raised the flag): stop at
-        // this slice boundary. The boundary is also the checkpoint
-        // boundary, so everything durable is already consistent — the
-        // final checkpoint below (if due) or the last one written makes
-        // the store resumable with no torn state.
+        // Graceful shutdown: stop between two requests, where every
+        // checkpoint already written is consistent.
         if cfg.shutdown.is_some_and(|f| f.load(Ordering::SeqCst)) {
-            completed = false;
             break;
         }
-
-        // Heartbeat at every run-slice boundary.
-        emit(ShardMsg::Beat(BeatMsg {
-            shard: plan.shard,
-            cursor: queue.consumed(),
-            served: sys.report().served,
-        }));
-
-        // Host-level chaos: kills and journal tears panic out of here
-        // (the supervisor's catch_unwind picks them up); a stall just
-        // burns wall clock until the heartbeat deadline trips.
-        if let Some(chaos) = &harness.chaos {
-            if chaos.fire_host(sys.report().served, harness.cancel.as_ref()) {
-                return Ok(()); // cancelled mid-stall
+        (drive.beat)(runner.counters.deaths);
+        if let Some(c) = drive.chaos {
+            // Kills and tears panic out of here (the supervisor's
+            // catch_unwind picks them up); a stall burns wall clock
+            // until the heartbeat deadline cancels it.
+            if c.fire_host(runner.report().served, drive.cancel) {
+                return Ok(None);
             }
         }
-
-        // Guest-level chaos bursts are simulated history: their cursor
-        // is persisted, so a revival replays them at the same point.
-        if let Some(chaos) = &harness.chaos {
-            let served = sys.report().served;
-            while let Some(b) = chaos.plan.bursts.get(chaos_cursor as usize) {
-                if served < b.at_served {
-                    break;
-                }
-                for _ in 0..b.faults {
-                    sys.inject_fault(core);
-                }
-                faults_injected += u64::from(b.faults);
-                chaos_cursor += 1;
-            }
+        while let Some(ev) = stealth.next_if(|ev| ev.at_served <= rec.seq) {
+            let cells = runner.cells_mut();
+            let victim = usize::try_from(ev.replica_salt % cells.len() as u64).expect("fits");
+            cells[victim].corrupt_bit(ev.frame_salt, ev.byte_salt, ev.bit);
         }
+        runner.admit(rec);
 
-        // Quarantined entries are consumed (and recorded in the system
-        // report) *before* the checkpoint, so the frozen state always
-        // explains the cursor it is stored with.
-        while let Some(idx) = queue.skip_quarantined_head() {
-            sys.note_quarantined(idx);
+        let served = runner.report().served;
+        let due = faults_through(cfg, bursts, served).saturating_sub(faults);
+        if due > 0 {
+            runner.inject_faults(u32::try_from(due).expect("a request's faults fit u32"));
+            faults += due;
         }
-
-        // Durable checkpoint at the run-slice boundary. `freeze` never
-        // mutates, so a checkpointed run is sim-cycle-identical to an
-        // unchekpointed one; only wall-clock pays for the file writes.
-        if let Some(w) = writer.as_mut() {
-            let served = sys.report().served;
-            if served.saturating_sub(served_at_last_ckpt) >= u64::from(cfg.checkpoint_every) {
-                served_at_last_ckpt = served;
-                let progress = ShardProgress {
-                    cursor: queue.consumed(),
-                    faults_injected,
-                    served_at_last_fault,
-                    steps_left,
-                    served_at_last_ckpt,
-                    chaos_cursor,
-                };
-                wal.absorb(w.checkpoint(&sys.freeze(), &encode_progress(&progress))?);
-                ckpts_written += 1;
-                if cfg.halt_after_checkpoints.is_some_and(|halt| ckpts_written >= halt) {
-                    // Simulated crash: die between two slices, exactly
+        if drive.cut_every > 0 && served.saturating_sub(last_cut) >= u64::from(drive.cut_every) {
+            last_cut = served;
+            if let Some(w) = writer.as_mut() {
+                runner.checkpoint(w)?;
+                cuts += 1;
+                if cfg.halt_after_checkpoints.is_some_and(|halt| cuts >= halt) {
+                    // Simulated crash: die between two requests, exactly
                     // where a real kill -9 would land.
-                    completed = false;
                     break;
                 }
+            } else {
+                runner.cut();
             }
         }
-
-        // Open-loop delivery: everything whose arrival time has passed
-        // goes into the inbox, regardless of service progress.
-        let now = sys.service_cycles();
-        let mut delivered = false;
-        loop {
-            while let Some(idx) = queue.skip_quarantined_head() {
-                sys.note_quarantined(idx);
-            }
-            if queue.peek().is_none_or(|r| r.arrival_cycle > now) {
-                break;
-            }
-            deliver_next(&mut queue, sys, &harness);
-            delivered = true;
-        }
-
-        let state = sys.run(cfg.run_slice_steps.min(steps_left.max(1)));
-        steps_left = steps_left.saturating_sub(cfg.run_slice_steps);
-
-        // Stream freshly completed samples.
-        while sample_cursor < sys.report().samples.len() {
-            let s = sys.report().samples[sample_cursor];
-            emit(ShardMsg::Sample(SampleMsg { shard: plan.shard, cycles: s.cycles }));
-            sample_cursor += 1;
-        }
-
-        // Optional rejuvenation-under-fault pressure.
-        if let Some(every) = cfg.fault_every {
-            let served = sys.report().served;
-            if every > 0 && served.saturating_sub(served_at_last_fault) >= u64::from(every) {
-                sys.inject_fault(core);
-                faults_injected += 1;
-                served_at_last_fault = served;
-            }
-        }
-
-        match state {
-            RunState::Idle => {
-                while let Some(idx) = queue.skip_quarantined_head() {
-                    sys.note_quarantined(idx);
-                }
-                match queue.peek() {
-                    // The service outpaced the arrival process: the next
-                    // client's clock becomes "now" (idle sim cores cannot
-                    // burn cycles waiting, so the gap collapses).
-                    Some(_) if !delivered => deliver_next(&mut queue, sys, &harness),
-                    Some(_) => {}
-                    None => break,
-                }
-            }
-            RunState::Halted => {
-                // Service died (e.g. undetected kill with monitoring off).
-                completed = false;
-                break;
-            }
-            RunState::BudgetExhausted => {
-                if steps_left == 0 {
-                    completed = false;
-                    break;
-                }
-            }
-        }
+        runner.rejuvenate();
     }
 
-    let completed = completed && queue.peek().is_none();
-    let mut output = engine.output(plan, malicious, completed);
-    output.faults_injected = faults_injected;
-    output.wal = wal;
-    emit(ShardMsg::Done(Box::new(output)));
-    Ok(())
-}
-
-/// Consumes and delivers the schedule head (which the caller has
-/// already verified exists and is not quarantined), flagging the
-/// in-flight index so a crash mid-delivery is attributable to this
-/// request — and striking first when the head is the poison request.
-fn deliver_next(queue: &mut ScheduleCursor, sys: &mut IndraSystem, harness: &ShardHarness) {
-    let index = queue.consumed();
-    harness.set_delivering(index);
-    if let Some(chaos) = &harness.chaos {
-        if chaos.poison() == Some(index) {
-            chaos.poison_strike();
-        }
-    }
-    let r = queue.pop().expect("caller peeked");
-    sys.push_request(r.data, r.malicious);
-    harness.set_delivering(NOT_DELIVERING);
+    let completed = runner.next_seq() == quota;
+    let counters = runner.counters;
+    let mut output = runner.finish(completed);
+    // A halted shard still queued its whole schedule.
+    output.benign_sent = quota - attacks_sent;
+    output.attacks_sent = attacks_sent;
+    output.faults_injected = faults;
+    Ok(Some((output, counters)))
 }

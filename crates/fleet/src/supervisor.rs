@@ -1,58 +1,45 @@
 //! The self-healing executor: shard threads under supervision, with
 //! checkpoint-based revival.
 //!
-//! [`run_fleet_supervised`] runs every shard inside
-//! [`std::panic::catch_unwind`] and watches a progress-heartbeat
-//! channel. Three death shapes are handled:
+//! [`run_fleet_supervised`] runs every shard's driver inside
+//! [`std::panic::catch_unwind`] and watches a heartbeat the driver sends
+//! before every request. Three thread-death shapes are handled:
 //!
-//! * **crash** — the shard thread panicked; the panic payload and the
-//!   in-flight schedule index (if the death happened mid-delivery) are
-//!   captured for attribution.
+//! * **crash** — the shard thread panicked (a chaos kill or WAL tear).
 //! * **hang** — no heartbeat within the configured wall-clock deadline;
 //!   the zombie incarnation is cancelled cooperatively and replaced.
-//! * **harness error** — the shard returned a typed
+//! * **harness error** — the driver returned a typed
 //!   [`ShardError`](crate::shard::ShardError) (deploy or checkpoint-store
 //!   failure).
 //!
-//! A dead shard is revived from its latest durable checkpoint (when the
-//! fleet checkpoints; from scratch otherwise — determinism makes both
-//! converge on the same [`crate::FleetStats`]) after a bounded
-//! exponential backoff. A shard that keeps dying is *abandoned* once it
-//! exhausts [`SupervisorConfig::max_revivals`]: the fleet degrades but
-//! finishes, salvaging the abandoned shard's last checkpointed report.
+//! A dead shard is revived after a bounded exponential backoff through
+//! the path [`crate::resume_fleet`] uses: its latest durable checkpoint
+//! when the fleet checkpoints, a fresh start otherwise — determinism
+//! makes both converge on the same [`crate::FleetStats`]. A shard that
+//! keeps dying is *abandoned* once it exhausts
+//! [`SupervisorConfig::max_revivals`]: the fleet degrades but finishes,
+//! salvaging the abandoned shard's last checkpointed report.
 //!
-//! **Poison requests** get special treatment, mirroring the paper's
-//! rollback *past* the malicious request (§3.3.2): when two deaths of
-//! one shard are attributed to delivering the same schedule index, that
-//! index is quarantined — the next incarnation consumes it without
-//! delivery and the fleet keeps its availability instead of crash-looping.
-//!
-//! The deterministic aggregate is rebuilt from each shard's *final*
-//! report (the live sample stream is ignored — revived incarnations
-//! re-stream history), so a kill-and-revive run yields byte-identical
-//! [`crate::FleetStats`] to an undisturbed one.
+//! Deaths *inside* a delivery never reach the supervisor: the shard
+//! runner catches them, revives and retries, and tombstones a request
+//! that dies twice (the chaos poison request). Those deaths still count
+//! in [`crate::SupervisionStats::crashes`].
 
-use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use indra_bench::Histogram;
 use indra_core::RunReport;
 use indra_persist::{SnapshotStore, JOURNAL_FILE};
 
-use crate::chaos::{
-    describe_panic, install_chaos_panic_hook, plan_for_shard, ChaosConfig, ChaosRuntime,
-    ShardChaosPlan,
-};
-use crate::executor::{aggregate_stats, availability};
-use crate::persist::{decode_progress, encode_meta, RestoredShard};
-use crate::report::{ShardSupervision, SupervisionStats};
-use crate::shard::{
-    run_shard_inner, shard_schedule, ShardHarness, ShardMsg, ShardOutput, NOT_DELIVERING,
-};
+use crate::chaos::{install_chaos_panic_hook, plan_for_shard, ChaosConfig, ChaosRuntime};
+use crate::executor::{durable_store, fleet_report, shard_supervision, supervision};
+use crate::persist::load_checkpoint;
+use crate::report::ShardSupervision;
+use crate::runner::GroupCounters;
+use crate::shard::{drive_shard, faults_through, shard_schedule, Driven, ShardDrive, ShardOutput};
 use crate::{FleetConfig, FleetReport};
 
 /// Supervision policy: how patiently shards are watched and how hard
@@ -62,8 +49,8 @@ pub struct SupervisorConfig {
     /// Revivals allowed per shard before it is abandoned (the fleet
     /// then finishes degraded instead of crash-looping forever).
     pub max_revivals: u32,
-    /// Heartbeat deadline in wall milliseconds: a shard that emits no
-    /// run-slice heartbeat for this long is declared hung.
+    /// Heartbeat deadline in wall milliseconds: a shard that sends no
+    /// heartbeat (one per request) for this long is declared hung.
     pub deadline_ms: u64,
     /// First revival backoff in wall milliseconds (doubles per revival
     /// of the same shard).
@@ -100,13 +87,15 @@ impl SupervisorConfig {
 
 /// What a shard incarnation can report upward.
 enum SupEvent {
-    /// A regular shard message (heartbeat, sample, final output).
-    Msg(ShardMsg),
-    /// The incarnation panicked; `delivering` is the schedule index it
-    /// was delivering when it died, if the death was mid-delivery.
-    Crashed { delivering: Option<u64> },
+    /// A heartbeat: the driver is about to take the next request; the
+    /// deaths its runner has caught so far.
+    Beat(u64),
+    /// The shard finished; its output and runner counters.
+    Done(Box<Driven>),
+    /// The incarnation panicked.
+    Crashed,
     /// The incarnation failed with a typed harness error.
-    Fault(String),
+    Fault,
     /// The incarnation's thread is gone (always the last message).
     Exited,
 }
@@ -136,19 +125,15 @@ struct Slot {
     gen: u64,
     state: SlotState,
     cancel: Arc<AtomicBool>,
-    delivering: Arc<AtomicU64>,
-    revivals: u32,
-    crashes: u32,
-    hangs: u32,
-    harness_errors: u32,
+    /// Revival, crash, hang and harness-error counts, and `abandoned`.
+    threads: ShardSupervision,
     last_beat: Instant,
-    /// Schedule index attributed to the most recent *attributable*
-    /// death. A second death at the same index marks it poison.
-    last_death_attr: Option<u64>,
-    quarantined: BTreeSet<u64>,
+    /// Runner-caught deaths the running incarnation last reported; they
+    /// count as crashes if it dies before it finishes.
+    beat_deaths: u64,
     died_at: Option<Instant>,
     revive_ms: Vec<f64>,
-    output: Option<Box<ShardOutput>>,
+    done: Option<Box<Driven>>,
 }
 
 impl Slot {
@@ -157,17 +142,12 @@ impl Slot {
             gen: 0,
             state: SlotState::Running,
             cancel: Arc::new(AtomicBool::new(false)),
-            delivering: Arc::new(AtomicU64::new(NOT_DELIVERING)),
-            revivals: 0,
-            crashes: 0,
-            hangs: 0,
-            harness_errors: 0,
+            threads: ShardSupervision::default(),
             last_beat: Instant::now(),
-            last_death_attr: None,
-            quarantined: BTreeSet::new(),
+            beat_deaths: 0,
             died_at: None,
             revive_ms: Vec::new(),
-            output: None,
+            done: None,
         }
     }
 
@@ -175,101 +155,69 @@ impl Slot {
         matches!(self.state, SlotState::Done | SlotState::Abandoned)
     }
 
-    fn mean_revive_ms(&self) -> f64 {
-        if self.revive_ms.is_empty() {
-            0.0
-        } else {
-            self.revive_ms.iter().sum::<f64>() / self.revive_ms.len() as f64
-        }
+    /// Records a death observed while the incarnation was running.
+    fn died(&mut self) {
+        let runner_deaths = std::mem::take(&mut self.beat_deaths);
+        self.threads.crashes += u32::try_from(runner_deaths).unwrap_or(u32::MAX);
+        self.died_at = Some(Instant::now());
+        self.state = SlotState::Draining;
     }
 }
 
-/// Shared per-fleet context the spawn/revive paths need.
+/// Shared per-fleet context the spawn path needs.
 struct Ctx<'a> {
-    sup: &'a SupervisorConfig,
+    cfg: &'a FleetConfig,
     store: Option<SnapshotStore>,
-    plans: Vec<Arc<ShardChaosPlan>>,
-    fired: Vec<Arc<Vec<AtomicBool>>>,
-    stall_ms: u64,
+    chaos: Vec<ChaosRuntime>,
 }
 
-impl Ctx<'_> {
-    fn harness(&self, shard: usize, slot: &Slot) -> ShardHarness {
-        let chaos = (!self.sup.chaos.is_off()).then(|| {
-            ChaosRuntime::new(
-                shard,
-                self.plans[shard].clone(),
-                self.fired[shard].clone(),
-                self.stall_ms,
-                self.store.as_ref().map(|s| s.shard_dir(shard).join(JOURNAL_FILE)),
-            )
-        });
-        ShardHarness {
-            cancel: Some(slot.cancel.clone()),
-            quarantined: slot.quarantined.iter().copied().collect(),
-            delivering: Some(slot.delivering.clone()),
-            chaos,
-        }
-    }
-
-    /// Loads the shard's latest checkpoint for revival. Any load
-    /// failure (no store, nothing checkpointed yet, corrupt blob)
-    /// degrades to a fresh start — determinism makes the restart
-    /// converge on the same trajectory, just more slowly.
-    fn thaw(&self, shard: usize) -> Option<RestoredShard> {
-        let loaded = self.store.as_ref()?.load_shard(shard).ok()??;
-        let progress = decode_progress(&loaded.progress).ok()?;
-        Some(RestoredShard { state: loaded.state, progress })
-    }
-}
-
-fn spawn_incarnation<'scope, 'env>(
-    scope: &'scope std::thread::Scope<'scope, 'env>,
-    cfg: &'env FleetConfig,
+fn spawn_incarnation<'scope>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    ctx: &'scope Ctx<'_>,
     tx: mpsc::Sender<SupMsg>,
     shard: usize,
-    gen: u64,
-    restored: Option<RestoredShard>,
-    harness: ShardHarness,
+    slot: &Slot,
 ) {
-    let plan = cfg.plan(shard);
-    let delivering = harness.delivering.clone();
+    let (gen, cancel) = (slot.gen, slot.cancel.clone());
     scope.spawn(move || {
+        let send = |event| {
+            let _ = tx.send(SupMsg { shard, gen, event });
+        };
         let result = catch_unwind(AssertUnwindSafe(|| {
-            run_shard_inner(cfg, plan, restored, harness, |msg| {
-                let _ = tx.send(SupMsg { shard, gen, event: SupEvent::Msg(msg) });
-            })
+            // A revival starts where `resume_fleet` would: the latest
+            // checkpoint, or genesis when there is none (or it is
+            // unreadable — determinism converges either way).
+            let restored = if gen == 0 {
+                None
+            } else {
+                ctx.store.as_ref().and_then(|s| load_checkpoint(s, shard).ok().flatten())
+            };
+            let drive = ShardDrive {
+                replicas: 1,
+                rejuvenate_every: None,
+                cut_every: if ctx.store.is_some() { ctx.cfg.checkpoint_every } else { 0 },
+                store: ctx.store.as_ref(),
+                chaos: Some(&ctx.chaos[shard]),
+                cancel: Some(&cancel),
+                beat: &|deaths| send(SupEvent::Beat(deaths)),
+            };
+            drive_shard(ctx.cfg, shard, &drive, restored)
         }));
         match result {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => {
-                let _ = tx.send(SupMsg { shard, gen, event: SupEvent::Fault(e.to_string()) });
-            }
-            Err(payload) => {
-                // Attribute the death: if the loop was mid-delivery the
-                // flag still holds the schedule index it was delivering.
-                let at = delivering.as_ref().map_or(NOT_DELIVERING, |d| d.load(Ordering::SeqCst));
-                // The description is rendered eagerly because the
-                // payload cannot leave this thread; it is currently only
-                // used to keep the hook-silenced panics debuggable.
-                let _desc = describe_panic(payload.as_ref());
-                let _ = tx.send(SupMsg {
-                    shard,
-                    gen,
-                    event: SupEvent::Crashed { delivering: (at != NOT_DELIVERING).then_some(at) },
-                });
-            }
+            Ok(Ok(Some(driven))) => send(SupEvent::Done(Box::new(driven))),
+            Ok(Ok(None)) => {} // cancelled: a newer incarnation owns the result
+            Ok(Err(_)) => send(SupEvent::Fault),
+            Err(_) => send(SupEvent::Crashed),
         }
-        let _ = tx.send(SupMsg { shard, gen, event: SupEvent::Exited });
+        send(SupEvent::Exited);
     });
 }
 
 /// Runs the fleet under supervision: crashes, hangs and harness errors
 /// are detected, the dead shard is revived from its latest checkpoint
-/// (or from scratch) with bounded exponential backoff, repeat-offender
-/// "poison" requests are quarantined, and shards that exhaust their
-/// revival budget are abandoned so the fleet finishes degraded rather
-/// than not at all.
+/// (or from scratch) with bounded exponential backoff, and shards that
+/// exhaust their revival budget are abandoned so the fleet finishes
+/// degraded rather than not at all.
 ///
 /// The returned report carries [`FleetReport::supervision`]. The
 /// deterministic [`crate::FleetStats`] inside is byte-identical to an
@@ -289,25 +237,21 @@ pub fn run_fleet_supervised(cfg: &FleetConfig, sup: &SupervisorConfig) -> FleetR
         install_chaos_panic_hook();
     }
 
-    let store = match (&cfg.store_dir, cfg.checkpoint_every) {
-        (Some(dir), every) if every > 0 => {
-            let s = SnapshotStore::create(dir.as_str()).expect("checkpoint store");
-            s.write_meta(&encode_meta(cfg)).expect("checkpoint meta");
-            Some(s)
-        }
-        _ => None,
-    };
+    let store = durable_store(cfg).expect("checkpoint store");
     // A stall must outlive the supervisor's deadline or it would never
     // be seen as a hang; resolve `stall_ms == 0` to safely past it.
     let stall_ms =
         if sup.chaos.stall_ms > 0 { sup.chaos.stall_ms } else { sup.deadline_ms * 2 + 250 };
-    let plans: Vec<Arc<ShardChaosPlan>> =
-        (0..cfg.shards).map(|s| Arc::new(plan_for_shard(&sup.chaos, cfg, s))).collect();
-    let fired: Vec<Arc<Vec<AtomicBool>>> = plans
-        .iter()
-        .map(|p| Arc::new((0..p.events.len()).map(|_| AtomicBool::new(false)).collect::<Vec<_>>()))
+    // Stealth strikes are for voting replicas; an unreplicated shard
+    // cannot see them, so the supervised fleet leaves them out.
+    let chaos = (0..cfg.shards)
+        .map(|shard| {
+            let plan = plan_for_shard(&sup.chaos, cfg, shard);
+            let wal = store.as_ref().map(|s| s.shard_dir(shard).join(JOURNAL_FILE));
+            ChaosRuntime::new(crate::ShardChaosPlan { stealth: Vec::new(), ..plan }, stall_ms, wal)
+        })
         .collect();
-    let ctx = Ctx { sup, store, plans, fired, stall_ms };
+    let ctx = Ctx { cfg, store, chaos };
 
     let deadline = Duration::from_millis(sup.deadline_ms.max(1));
     let mut slots: Vec<Slot> = (0..cfg.shards).map(|_| Slot::new()).collect();
@@ -315,15 +259,7 @@ pub fn run_fleet_supervised(cfg: &FleetConfig, sup: &SupervisorConfig) -> FleetR
     std::thread::scope(|scope| {
         let (tx, rx) = mpsc::channel::<SupMsg>();
         for (shard, slot) in slots.iter().enumerate() {
-            spawn_incarnation(
-                scope,
-                cfg,
-                tx.clone(),
-                shard,
-                slot.gen,
-                None,
-                ctx.harness(shard, slot),
-            );
+            spawn_incarnation(scope, &ctx, tx.clone(), shard, slot);
         }
 
         while !slots.iter().all(Slot::finished) {
@@ -340,30 +276,20 @@ pub fn run_fleet_supervised(cfg: &FleetConfig, sup: &SupervisorConfig) -> FleetR
                     SlotState::Running if now.duration_since(slot.last_beat) > deadline => {
                         // Hung: cancel the zombie; its `Exited` (the
                         // stall loop polls the flag) triggers revival.
-                        slot.hangs += 1;
-                        slot.died_at = Some(now);
+                        slot.threads.hangs += 1;
                         slot.cancel.store(true, Ordering::SeqCst);
-                        slot.state = SlotState::Draining;
+                        slot.died();
                     }
                     SlotState::Backoff { until } if now >= until => {
                         slot.gen += 1;
-                        slot.revivals += 1;
+                        slot.threads.revivals += 1;
                         slot.cancel = Arc::new(AtomicBool::new(false));
-                        slot.delivering = Arc::new(AtomicU64::new(NOT_DELIVERING));
                         if let Some(d) = slot.died_at.take() {
                             slot.revive_ms.push(d.elapsed().as_secs_f64() * 1e3);
                         }
                         slot.last_beat = now;
                         slot.state = SlotState::Running;
-                        spawn_incarnation(
-                            scope,
-                            cfg,
-                            tx.clone(),
-                            shard,
-                            slot.gen,
-                            ctx.thaw(shard),
-                            ctx.harness(shard, slot),
-                        );
+                        spawn_incarnation(scope, &ctx, tx.clone(), shard, slot);
                     }
                     _ => {}
                 }
@@ -377,7 +303,21 @@ pub fn run_fleet_supervised(cfg: &FleetConfig, sup: &SupervisorConfig) -> FleetR
         }
     });
 
-    assemble_report(cfg, &ctx, &mut slots, started)
+    let (outputs, rows): (Vec<ShardOutput>, Vec<_>) = slots
+        .into_iter()
+        .enumerate()
+        .map(|(shard, slot)| {
+            let (out, counters) = match slot.done {
+                Some(done) => *done,
+                None => (salvage_output(&ctx, shard), GroupCounters::default()),
+            };
+            let row = shard_supervision(&out, &counters, slot.threads, &slot.revive_ms);
+            (out, row)
+        })
+        .unzip();
+    let host_events = ctx.chaos.iter().map(ChaosRuntime::fired_count).sum();
+    let supervision = supervision(cfg, &outputs, rows, host_events);
+    fleet_report(cfg, outputs, Some(supervision), started)
 }
 
 /// Applies one incarnation message to its shard's slot.
@@ -387,46 +327,32 @@ fn handle(slot: &mut Slot, m: SupMsg, sup: &SupervisorConfig) {
         // `Exited`, which revival waits for — but be safe, not sorry).
         return;
     }
+    let running = matches!(slot.state, SlotState::Running);
     match m.event {
-        SupEvent::Msg(ShardMsg::Beat(_)) => slot.last_beat = Instant::now(),
-        // The live sample stream is ignored under supervision: revived
-        // incarnations re-stream history, so the aggregate is rebuilt
-        // from final reports instead (see `assemble_report`).
-        SupEvent::Msg(ShardMsg::Sample(_)) => {}
-        SupEvent::Msg(ShardMsg::Done(out)) => {
-            slot.output = Some(out);
+        SupEvent::Beat(deaths) => {
+            slot.last_beat = Instant::now();
+            slot.beat_deaths = deaths;
+        }
+        SupEvent::Done(done) => {
+            slot.done = Some(done);
             slot.state = SlotState::Done;
         }
-        SupEvent::Crashed { delivering } => {
-            // Poison attribution: two deaths delivering the same index
-            // quarantine it (loop-top deaths are never attributable, so
-            // chaos kills between the two strikes cannot confuse this).
-            if let Some(idx) = delivering {
-                if slot.last_death_attr == Some(idx) {
-                    slot.quarantined.insert(idx);
-                }
-                slot.last_death_attr = Some(idx);
-            }
-            if matches!(slot.state, SlotState::Running) {
-                slot.crashes += 1;
-                slot.died_at = Some(Instant::now());
-                slot.state = SlotState::Draining;
-            }
+        SupEvent::Crashed if running => {
+            slot.threads.crashes += 1;
+            slot.died();
         }
-        SupEvent::Fault(_desc) => {
-            if matches!(slot.state, SlotState::Running) {
-                slot.harness_errors += 1;
-                slot.died_at = Some(Instant::now());
-                slot.state = SlotState::Draining;
-            }
+        SupEvent::Fault if running => {
+            slot.threads.harness_errors += 1;
+            slot.died();
         }
+        SupEvent::Crashed | SupEvent::Fault => {}
         SupEvent::Exited => match slot.state {
             SlotState::Draining => schedule_revival(slot, sup),
             SlotState::Running => {
                 // Exited with no Done and no death report: treat as a
                 // crash-shaped death so the shard is not lost silently.
-                slot.crashes += 1;
-                slot.died_at = Some(Instant::now());
+                slot.threads.crashes += 1;
+                slot.died();
                 schedule_revival(slot, sup);
             }
             _ => {}
@@ -437,11 +363,13 @@ fn handle(slot: &mut Slot, m: SupMsg, sup: &SupervisorConfig) {
 /// The dead incarnation has fully exited: either queue a revival after
 /// backoff or abandon the shard.
 fn schedule_revival(slot: &mut Slot, sup: &SupervisorConfig) {
-    if slot.revivals >= sup.max_revivals {
+    if slot.threads.revivals >= sup.max_revivals {
         slot.died_at = None;
+        slot.threads.abandoned = true;
         slot.state = SlotState::Abandoned;
     } else {
-        slot.state = SlotState::Backoff { until: Instant::now() + sup.backoff(slot.revivals + 1) };
+        let until = Instant::now() + sup.backoff(slot.threads.revivals + 1);
+        slot.state = SlotState::Backoff { until };
     }
 }
 
@@ -449,19 +377,16 @@ fn schedule_revival(slot: &mut Slot, sup: &SupervisorConfig) {
 /// report (served counts, detections, samples — all real history), or
 /// an empty one if it never checkpointed. `completed: false` keeps the
 /// degradation visible in the aggregate.
-fn salvage_output(cfg: &FleetConfig, ctx: &Ctx<'_>, shard: usize) -> ShardOutput {
-    let plan = cfg.plan(shard);
-    let schedule = shard_schedule(cfg, &plan);
+fn salvage_output(ctx: &Ctx<'_>, shard: usize) -> ShardOutput {
+    let plan = ctx.cfg.plan(shard);
+    let schedule = shard_schedule(ctx.cfg, &plan);
     let benign_sent = schedule.iter().filter(|r| !r.malicious).count() as u64;
     let attacks_sent = schedule.len() as u64 - benign_sent;
-    let (report, faults_injected) =
-        match ctx.store.as_ref().and_then(|s| s.load_shard(shard).ok().flatten()) {
-            Some(l) => {
-                let faults = decode_progress(&l.progress).map_or(0, |p| p.faults_injected);
-                (l.state.report, faults)
-            }
-            None => (RunReport::default(), 0),
-        };
+    let report = match ctx.store.as_ref().and_then(|s| load_checkpoint(s, shard).ok().flatten()) {
+        Some((state, _)) => state.report,
+        None => RunReport::default(),
+    };
+    let faults_injected = faults_through(ctx.cfg, &ctx.chaos[shard].plan.bursts, report.served);
     let sim_cycles = report.samples.last().map_or(0, |s| s.completed_at);
     ShardOutput {
         plan,
@@ -476,85 +401,5 @@ fn salvage_output(cfg: &FleetConfig, ctx: &Ctx<'_>, shard: usize) -> ShardOutput
         superblocks: indra_sim::SuperblockStats::default(),
         predecode: indra_sim::PredecodeStats::default(),
         wal: indra_persist::CheckpointReceipt::default(),
-    }
-}
-
-fn assemble_report(
-    cfg: &FleetConfig,
-    ctx: &Ctx<'_>,
-    slots: &mut [Slot],
-    started: Instant,
-) -> FleetReport {
-    let outputs: Vec<ShardOutput> = slots
-        .iter_mut()
-        .enumerate()
-        .map(|(shard, slot)| match slot.output.take() {
-            Some(b) => *b,
-            None => salvage_output(cfg, ctx, shard),
-        })
-        .collect();
-
-    // Rebuild the latency digest from final reports — identical to the
-    // stream-fed digest of an unsupervised run, and immune to revived
-    // incarnations re-streaming their history.
-    let mut latency = Histogram::new();
-    for o in &outputs {
-        for s in &o.report.samples {
-            latency.record(s.cycles);
-        }
-    }
-    let stats = aggregate_stats(&outputs, latency);
-
-    let per_shard: Vec<ShardSupervision> = slots
-        .iter()
-        .enumerate()
-        .map(|(shard, s)| ShardSupervision {
-            shard,
-            revivals: s.revivals,
-            crashes: s.crashes,
-            hangs: s.hangs,
-            harness_errors: s.harness_errors,
-            quarantined: s.quarantined.iter().copied().collect(),
-            abandoned: matches!(s.state, SlotState::Abandoned),
-            mean_time_to_revive_ms: s.mean_revive_ms(),
-            ..ShardSupervision::default()
-        })
-        .collect();
-    let sum =
-        |f: fn(&ShardSupervision) -> u32| per_shard.iter().map(|s| u64::from(f(s))).sum::<u64>();
-    let all_revivals: Vec<f64> = slots.iter().flat_map(|s| s.revive_ms.iter().copied()).collect();
-    let scheduled = cfg.shards as u64 * u64::from(cfg.requests_per_shard);
-    let supervision = SupervisionStats {
-        revivals: sum(|s| s.revivals),
-        crashes: sum(|s| s.crashes),
-        hangs: sum(|s| s.hangs),
-        harness_errors: sum(|s| s.harness_errors),
-        chaos_host_events: ctx
-            .fired
-            .iter()
-            .map(|f| f.iter().filter(|b| b.load(Ordering::SeqCst)).count() as u64)
-            .sum(),
-        quarantined_requests: per_shard.iter().map(|s| s.quarantined.len() as u64).sum(),
-        abandoned_shards: per_shard.iter().filter(|s| s.abandoned).count() as u64,
-        availability: availability(&outputs, scheduled),
-        mean_time_to_revive_ms: if all_revivals.is_empty() {
-            0.0
-        } else {
-            all_revivals.iter().sum::<f64>() / all_revivals.len() as f64
-        },
-        per_shard,
-        ..SupervisionStats::default()
-    };
-
-    let shard_host = outputs.iter().map(ShardOutput::host_perf).collect();
-    let wall_seconds = started.elapsed().as_secs_f64();
-    let wall_req_per_sec =
-        if wall_seconds > 0.0 { stats.served as f64 / wall_seconds } else { 0.0 };
-    FleetReport {
-        stats,
-        wall_seconds,
-        wall_req_per_sec,
-        shard_host,
-        supervision: Some(supervision),
     }
 }

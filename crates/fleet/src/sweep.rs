@@ -78,7 +78,6 @@ const FLEETBENCH: Cli = Cli {
         ("--requests", "N"),
         ("--scale", "N"),
         ("--attack-per-mille", "N"),
-        ("--mean-gap", "CYCLES"),
         ("--fault-every", "N"),
         ("--seed", "N"),
         ("--csv", "DIR"),
@@ -105,6 +104,10 @@ const FLEETBENCH: Cli = Cli {
     ],
     operands: "",
     prose: "\
+Each shard is fed its seeded schedule one request at a time through the
+shard runner. --fault-every N injects a hardware fault right after the
+request that brings a shard's served count to each multiple of N.
+
 --no-fast-paths disables the host-side predecode and translation
 caches (slow reference path); --no-superblocks disables the superblock
 execution engine (hot basic blocks batched into pre-validated micro-op
@@ -136,11 +139,14 @@ into a self-checking smoke test.
 
 Replication: --replicas K (2 or 3) runs K deterministic replicas of
 every shard with per-request divergence voting — a silently corrupted
-replica (--chaos stealth) votes apart, is masked and revived from the
-majority checkpoint; the deterministic stats stay byte-identical to an
-undisturbed run. --rejuvenate-every N (1-1000000) proactively restarts
-each replica from its durable checkpoint every N admitted requests,
-staggered so the group keeps its voting quorum. --replica-bench runs
+replica (--chaos stealth) votes apart, is masked and revived onto the
+majority's state; the deterministic stats stay byte-identical to an
+undisturbed run. Revivals restore the shard's latest checkpoint: an
+in-memory cut every 4 served requests, or the durable one that
+--checkpoint-every N writes to --store DIR. --rejuvenate-every N
+(1-1000000) proactively
+restarts each replica that way every N admitted requests, staggered so
+the group keeps its voting quorum. --replica-bench runs
 the K=1/2/3 detection and overhead sweep and writes
 results/BENCH_replica.json. In replicated runs --chaos-out PATH saves
 the deterministic FleetStats JSON and --assert-divergences-min N fails
@@ -169,7 +175,6 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> Result<SweepArgs, Strin
                 requests_per_shard: a.num("--requests", .., b.requests_per_shard)?,
                 scale: a.num("--scale", 1.., b.scale)?,
                 attack_per_mille: a.num("--attack-per-mille", 0..=1000, b.attack_per_mille)?,
-                mean_gap_cycles: a.num("--mean-gap", .., b.mean_gap_cycles)?,
                 fault_every: a.opt("--fault-every", ..)?,
                 seed: a.num("--seed", .., b.seed)?,
                 checkpoint_every: a.num("--checkpoint-every", .., b.checkpoint_every)?,

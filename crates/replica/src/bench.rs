@@ -14,9 +14,7 @@
 //!   vs the no-rejuvenation K = 3 run.
 
 use indra_core::json::{json_array, JsonObject};
-use indra_fleet::{ChaosConfig, FleetConfig, FleetReport};
-
-use crate::fleet::{run_fleet_replicated, ReplicaOptions};
+use indra_fleet::{run_fleet_replicated, ChaosConfig, FleetConfig, FleetReport, ReplicaOptions};
 
 /// The fleet shape the bench sweeps (kept small: every run is K full
 /// deterministic fleets on a possibly single-CPU host).

@@ -23,8 +23,6 @@ pub struct FleetdArgs {
     /// `<state>/FLEET_stats.json` when serving, stdout-only when
     /// replaying).
     pub out: Option<PathBuf>,
-    /// Smoke-test shape: fewer shards at a deeper work-scale cut.
-    pub quick: bool,
 }
 
 const FLEETD: Cli = Cli {
@@ -118,8 +116,8 @@ pub fn parse_fleetd_args(args: impl Iterator<Item = String>) -> Result<FleetdArg
             rejuvenate_every: a.opt("--rejuvenate-every", 1..=1_000_000)?,
             ..d
         };
-        let quick = a.has("--quick");
-        if quick {
+        // Smoke-test shape: fewer shards at a deeper work-scale cut.
+        if a.has("--quick") {
             serve.shards = serve.shards.min(2);
             serve.engine.scale = serve.engine.scale.max(60);
             serve.checkpoint_every = 4;
@@ -130,7 +128,7 @@ pub fn parse_fleetd_args(args: impl Iterator<Item = String>) -> Result<FleetdArg
             (None, Some(_)) => {}
             (None, None) => return Err("--state DIR is required".into()),
         }
-        Ok(FleetdArgs { serve, replay, out: a.get("--out").map(PathBuf::from), quick })
+        Ok(FleetdArgs { serve, replay, out: a.get("--out").map(PathBuf::from) })
     })
 }
 

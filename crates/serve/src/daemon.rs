@@ -34,11 +34,10 @@ use std::time::Instant;
 
 use indra_bench::Histogram;
 use indra_core::RecoveryLevel;
-use indra_fleet::{aggregate_stats, FleetStats, ShardError, ShardOutput};
+use indra_fleet::{aggregate_stats, read_cursor, FleetStats, ShardError, ShardOutput};
 use indra_persist::{
     IngressKind, IngressRecord, IngressWriter, PersistError, SnapshotStore, INGRESS_FILE,
 };
-use indra_replica::read_cursor;
 
 use crate::proto::{
     encode_frame, read_frame, Frame, FrameError, HealthReply, RejectReason, Verdict,

@@ -22,8 +22,8 @@
 //! to a durable per-shard ingress log (`indra-persist` journal framing)
 //! **before** it is delivered to the simulated system, and each shard's
 //! simulated trajectory is, by construction, a pure function of that
-//! ordered log ([`ShardRunner`], the one closed-loop shard runner, which
-//! lives in `indra-replica` and also runs the `--replicas K` vote).
+//! ordered log ([`ShardRunner`], the one shard runner, which lives in
+//! `indra-fleet` and also runs the `--replicas K` vote).
 //! `fleetd --replay <state-dir>` therefore
 //! reproduces the live run's [`indra_fleet::FleetStats`] byte for byte
 //! — including runs interrupted by `kill -9`, revived shards, and
@@ -46,7 +46,7 @@ pub use args::{
 };
 pub use daemon::{Daemon, ServeConfig, ServeError, ServeReport};
 pub use indra_fleet::engine::{decode_engine_meta, encode_engine_meta, EngineConfig, ShardEngine};
-pub use indra_replica::{Disposition, ShardRunner};
+pub use indra_fleet::{Disposition, ShardRunner};
 pub use loadgen::{run_loadgen, LoadgenReport, SweepPoint};
 pub use proto::{
     decode_frame, encode_frame, read_frame, write_frame, Frame, FrameError, HealthReply,

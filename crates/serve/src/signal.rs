@@ -4,7 +4,7 @@
 //! crate this uses the one libc entry point the handlers need:
 //! `signal(2)` with a handler that only stores to a static
 //! `AtomicBool` (the async-signal-safe subset). Consumers poll the
-//! flag — the fleet executor at run-slice boundaries
+//! flag — the fleet driver between requests
 //! ([`indra_fleet::FleetConfig::shutdown`]), `fleetd`'s main loop
 //! between health polls — so delivery timing never races anything.
 

@@ -39,4 +39,4 @@ pub use gen::{
     build_app, build_app_scaled, build_service, PAYLOAD_OFFSET, RX_CAPACITY, VULN_BUF_LEN,
 };
 pub use spec::{ServiceApp, WorkloadSpec};
-pub use traffic::{OpenLoopTraffic, ScheduleCursor, ScriptedRequest, TimedRequest, Traffic};
+pub use traffic::{OpenLoopTraffic, ScriptedRequest, TimedRequest, Traffic};

@@ -6,12 +6,13 @@
 //! * [`Traffic`] — the original closed scripts used by the figure
 //!   experiments: `n` benign requests with an attack interleaved at a
 //!   fixed cadence.
-//! * [`OpenLoopTraffic`] — the fleet harness's open-loop arrival
-//!   process: requests arrive on their own clock (uniformly jittered
-//!   inter-arrival gaps), independent of when the service finishes the
-//!   previous one, with a configurable benign/attack mix drawn over an
-//!   arbitrary set of [`Attack`] variants. Open-loop is the right model
-//!   for "millions of users": real clients do not wait for each other.
+//! * [`OpenLoopTraffic`] — the fleet's traffic schedule: requests
+//!   stamped with arrival cycles on their own clock (uniformly jittered
+//!   inter-arrival gaps), with a configurable benign/attack mix drawn
+//!   over an arbitrary set of [`Attack`] variants. The fleet feeds the
+//!   requests to each shard in order; the arrival cycles cannot change
+//!   its stats, because a request's latency starts when the service
+//!   takes it and an idle simulated core collapses any gap.
 
 use indra_isa::Image;
 use indra_rng::Rng;
@@ -180,83 +181,6 @@ impl OpenLoopTraffic {
     }
 }
 
-/// A replay cursor over an open-loop schedule that can deterministically
-/// skip quarantined entries.
-///
-/// The fleet's revival path replays a shard's schedule from a durable
-/// cursor; when the supervisor has quarantined a poison request, the
-/// replay must consume that entry *without delivering it* — and must do
-/// so identically on every replay, or the revived trajectory would
-/// diverge from the one that will be checkpointed next. The cursor
-/// makes that contract explicit: `consumed()` counts every entry that
-/// has left the schedule (delivered *or* skipped), which is exactly the
-/// number a progress blob persists and [`ScheduleCursor::seek`] restores.
-#[derive(Debug, Clone)]
-pub struct ScheduleCursor {
-    reqs: Vec<TimedRequest>,
-    pos: usize,
-    skip: Vec<u64>,
-}
-
-impl ScheduleCursor {
-    /// Wraps a materialized schedule. `skip` lists the quarantined
-    /// schedule indices (order and duplicates don't matter).
-    #[must_use]
-    pub fn new(reqs: Vec<TimedRequest>, skip: Vec<u64>) -> ScheduleCursor {
-        ScheduleCursor { reqs, pos: 0, skip }
-    }
-
-    /// Jumps past the first `consumed` entries (delivered or skipped) —
-    /// the resume path for a cursor persisted at a checkpoint.
-    pub fn seek(&mut self, consumed: u64) {
-        self.pos = (consumed as usize).min(self.reqs.len());
-    }
-
-    /// Entries consumed so far, skipped ones included — the durable
-    /// cursor value.
-    #[must_use]
-    pub fn consumed(&self) -> u64 {
-        self.pos as u64
-    }
-
-    /// Whether the head entry is quarantined.
-    #[must_use]
-    pub fn head_quarantined(&self) -> bool {
-        self.pos < self.reqs.len() && self.skip.contains(&(self.pos as u64))
-    }
-
-    /// Consumes the head entry if it is quarantined, returning its
-    /// schedule index so the caller can record the skip. Call in a loop
-    /// before [`ScheduleCursor::peek`]: several quarantined entries may
-    /// be adjacent.
-    pub fn skip_quarantined_head(&mut self) -> Option<u64> {
-        if self.head_quarantined() {
-            let idx = self.pos as u64;
-            self.pos += 1;
-            Some(idx)
-        } else {
-            None
-        }
-    }
-
-    /// The next deliverable entry (callers must drain
-    /// [`ScheduleCursor::skip_quarantined_head`] first — a quarantined
-    /// head is still visible here).
-    #[must_use]
-    pub fn peek(&self) -> Option<&TimedRequest> {
-        self.reqs.get(self.pos)
-    }
-
-    /// Consumes and returns the head entry.
-    pub fn pop(&mut self) -> Option<TimedRequest> {
-        let r = self.reqs.get(self.pos).cloned();
-        if r.is_some() {
-            self.pos += 1;
-        }
-        r
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,47 +236,5 @@ mod tests {
         );
         let zero_gap = OpenLoopTraffic::benign(10, 0, 3).generate(&img);
         assert!(zero_gap.iter().all(|r| r.arrival_cycle == 0), "gap 0 = all at once");
-    }
-
-    #[test]
-    fn cursor_skips_quarantined_entries_and_counts_them_as_consumed() {
-        let img = build_app_scaled(ServiceApp::Httpd, 20);
-        let schedule = OpenLoopTraffic::benign(6, 100, 9).generate(&img);
-        let mut c = ScheduleCursor::new(schedule.clone(), vec![1, 2, 5]);
-
-        assert_eq!(c.pop().unwrap(), schedule[0]);
-        assert!(c.head_quarantined());
-        assert_eq!(c.skip_quarantined_head(), Some(1));
-        assert_eq!(c.skip_quarantined_head(), Some(2), "adjacent quarantines drain in order");
-        assert_eq!(c.skip_quarantined_head(), None);
-        assert_eq!(c.consumed(), 3, "skips count as consumed");
-        assert_eq!(c.peek(), Some(&schedule[3]));
-        assert_eq!(c.pop().unwrap(), schedule[3]);
-        assert_eq!(c.pop().unwrap(), schedule[4]);
-        assert_eq!(c.skip_quarantined_head(), Some(5), "trailing quarantine still drains");
-        assert!(c.peek().is_none());
-        assert!(c.pop().is_none());
-        assert_eq!(c.consumed(), 6);
-    }
-
-    #[test]
-    fn cursor_seek_replays_from_a_durable_cursor() {
-        let img = build_app_scaled(ServiceApp::Httpd, 20);
-        let schedule = OpenLoopTraffic::benign(5, 100, 9).generate(&img);
-        let mut a = ScheduleCursor::new(schedule.clone(), vec![3]);
-        // Consume 0..4 (3 skipped), remember the cursor, then replay.
-        a.pop();
-        a.pop();
-        a.pop();
-        assert_eq!(a.skip_quarantined_head(), Some(3));
-        let durable = a.consumed();
-        let mut b = ScheduleCursor::new(schedule.clone(), vec![3]);
-        b.seek(durable);
-        assert_eq!(b.peek(), a.peek(), "replay resumes at the identical entry");
-        assert_eq!(b.pop().unwrap(), schedule[4]);
-        // Seeking past the end clamps instead of panicking.
-        let mut c = ScheduleCursor::new(schedule, vec![]);
-        c.seek(99);
-        assert!(c.peek().is_none());
     }
 }

@@ -2,9 +2,9 @@
 //! executor. All logic lives in [`indra_fleet::sweep`]; this wrapper
 //! installs the graceful-shutdown signal handlers, dispatches the
 //! replica modes (`--replicas`, `--rejuvenate-every`,
-//! `--replica-bench` — the voting executor lives above `indra-fleet`
-//! in `indra-replica`) and exists so `cargo run --release --bin
-//! fleetbench` works from the workspace root.
+//! `--replica-bench` — the benchmark sweep lives in `indra-replica`)
+//! and exists so `cargo run --release --bin fleetbench` works from the
+//! workspace root.
 
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
@@ -18,9 +18,9 @@ use indra_serve::install_shutdown_handler;
 fn main() -> ExitCode {
     match parse_args(std::env::args().skip(1)) {
         Ok(mut args) => {
-            // SIGINT/SIGTERM drain every shard at the next run-slice
-            // boundary and flush a final checkpoint, so an interrupted
-            // checkpointing run resumes byte-identically.
+            // SIGINT/SIGTERM stop every shard before its next request;
+            // the checkpoints already written stay consistent, so an
+            // interrupted checkpointing run resumes byte-identically.
             let shutdown = install_shutdown_handler();
             args.base.shutdown = Some(shutdown);
             let outcome = if args.replica_bench {

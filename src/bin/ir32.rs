@@ -66,6 +66,11 @@ fn main() -> ExitCode {
                 if a.operands.is_empty() && !a.has("--app") && !a.has("--fixture") {
                     return Err("missing input: give a FILE.s, --app NAME or --fixture NAME".into());
                 }
+                // A scale outside the flag's range is a usage error; one
+                // that is no number at all stays an analysis error.
+                if let Ok(Some(_)) = a.opt::<u32>("--scale", ..) {
+                    a.opt::<u32>("--scale", 1..)?;
+                }
                 Ok(cmd_analyze(cmd, a))
             });
             (outcome, ANALYSIS_USAGE)
@@ -119,8 +124,7 @@ fn analysis_image(a: &Args) -> Result<Image, String> {
             ServiceApp::ALL.into_iter().find(|app| format!("{app}") == name).ok_or_else(|| {
                 format!("unknown app `{name}` (try ftpd, httpd, bind, sendmail, imap, nfs)")
             })?;
-        let scale: u32 = a.num("--scale", .., 1)?;
-        return Ok(build_app_scaled(app, scale.max(1)));
+        return Ok(build_app_scaled(app, a.num("--scale", .., 1)?));
     }
     if let Some(name) = a.get("--fixture") {
         return fixtures::fixture(name).ok_or_else(|| {

@@ -36,8 +36,9 @@
 //!   latency, with minimized winners pinned as the regression corpus
 //!   under `corpus/redteam/`.
 //! * [`fleet`] — the sharded parallel fleet executor: many independent
-//!   INDRA cells across OS threads under deterministic open-loop
-//!   traffic, aggregated into one fleet-wide report.
+//!   INDRA cells across OS threads, each fed a deterministic traffic
+//!   schedule through the one shard runner (K ≥ 1 voting replicas),
+//!   aggregated into one fleet-wide report.
 //! * [`serve`] — the live control plane: the `fleetd` daemon serving
 //!   fleet traffic over a real TCP socket (bounded admission, live
 //!   scale/drain, graceful shutdown) with deterministic record/replay

@@ -226,3 +226,15 @@ fn ir32_run_accepts_flags_before_the_file() {
     assert!(ok, "{err}");
     assert!(out.contains(r#"response 0: 2 bytes: "hi""#), "{out}");
 }
+
+#[test]
+fn ir32_rejects_a_zero_scale_as_a_usage_error() {
+    // A scale of 0 is outside the flag's range: a usage error, as in
+    // the fleet tools — not a silent scale-1 run.
+    let bin = env!("CARGO_BIN_EXE_ir32");
+    for cmd in ["analyze", "lint", "gadgets"] {
+        assert_eq!(code(bin, &[cmd, "--app", "httpd", "--scale", "0"]), Some(2), "{cmd}");
+    }
+    let (ok, _, err) = run(bin, &["lint", "--app", "httpd", "--scale", "0"]);
+    assert!(!ok && err.contains("--scale") && err.contains("usage"), "{err}");
+}

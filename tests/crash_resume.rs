@@ -6,7 +6,7 @@
 
 use indra_core::SchemeKind;
 use indra_fleet::{resume_fleet, run_fleet, FleetConfig};
-use indra_persist::ScratchDir;
+use indra_persist::{PersistError, ScratchDir, SnapshotStore, WireWriter};
 use indra_workloads::ServiceApp;
 
 fn scratch(tag: &str) -> ScratchDir {
@@ -118,4 +118,32 @@ fn resume_with_a_missing_shard_directory_is_a_typed_error() {
         "expected MissingShard for shard 1, got: {err}"
     );
     assert!(err.to_string().contains("shard 1"), "the message names the missing shard: {err}");
+}
+
+#[test]
+fn resume_rejects_a_store_with_the_old_loop_state_progress_blob() {
+    // Fleet checkpoints carry the shard runner's cursor as their
+    // progress blob. A store from the former slice loop carries six u64s
+    // of loop state instead; resume refuses it with a typed error rather
+    // than guessing where that loop stood.
+    let guard = scratch("old-progress-blob");
+    let dir = guard.path();
+    let _ = run_fleet(&FleetConfig {
+        checkpoint_every: 3,
+        store_dir: Some(dir.to_string_lossy().into_owned()),
+        halt_after_checkpoints: Some(1),
+        ..small_fleet()
+    });
+    let store = SnapshotStore::open(dir).expect("open store");
+    let loaded = store.load_shard(0).expect("load shard 0").expect("shard 0 checkpointed");
+    let mut old_blob = WireWriter::new();
+    for field in [4u64, 1, 4, 1_000_000, 3, 0] {
+        old_blob.u64(field);
+    }
+    let old_blob = old_blob.finish();
+    assert_eq!(old_blob.len(), 48);
+    store.shard_writer(0).expect("writer").checkpoint(&loaded.state, &old_blob).expect("rewrite");
+
+    let err = resume_fleet(dir).expect_err("an old progress blob must not resume");
+    assert!(matches!(err, PersistError::Corrupt { .. }), "expected Corrupt, got: {err}");
 }

@@ -144,3 +144,15 @@ fn a_store_written_by_the_plain_fleet_is_not_trusted_by_revivals() {
     let reused = run_fleet_replicated(&stored(guard.path()), &opts).expect("replicated run");
     assert_eq!(reused.stats.to_json(), fresh.stats.to_json());
 }
+
+#[test]
+fn replicated_fleet_injects_periodic_faults_like_the_plain_fleet() {
+    // `fault_every` reaches the replicated fleet too: at K = 1 it runs
+    // the plain fleet's driver, so it injects the same faults after the
+    // same requests.
+    let cfg = FleetConfig { fault_every: Some(3), ..tiny() };
+    let opts = ReplicaOptions { replicas: 1, rejuvenate_every: None, chaos: ChaosConfig::off() };
+    let replicated = run_fleet_replicated(&cfg, &opts).expect("replicated run");
+    assert!(replicated.stats.faults_injected > 0, "fault_every must inject faults");
+    assert_eq!(replicated.stats.to_json(), run_fleet(&cfg).stats.to_json());
+}
